@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"xtq/internal/obs"
+	"xtq/internal/sax"
 )
 
 // TestPreparedEvalAllocs pins the steady-state allocation count of
@@ -100,6 +101,33 @@ func TestSealedEvalAllocs(t *testing.T) {
 		}
 	}); got > maxAllocs {
 		t.Errorf("Prepared.Eval over sealed doc allocates %.1f times per run, want <= %d", got, maxAllocs)
+	}
+}
+
+// TestEmitAllocs pins the serialisation path of every xtqd query
+// response: sax.Emit of the 640-element document into a fresh
+// sax.Writer allocates a constant (the Writer; its 64 KB buffer is
+// pooled) and nothing per node or per event — measured 1.
+func TestEmitAllocs(t *testing.T) {
+	doc, err := ParseString(doc640())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cd countingDiscard
+	const maxAllocs = 4
+	if got := testing.AllocsPerRun(100, func() {
+		w := sax.NewWriter(&cd)
+		if err := sax.Emit(doc, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > maxAllocs {
+		t.Errorf("sax.Emit allocates %.1f times per run, want <= %d", got, maxAllocs)
+	}
+	if cd.n == 0 {
+		t.Fatal("nothing was written")
 	}
 }
 

@@ -154,3 +154,50 @@ func TestUpdatePlansMethod(t *testing.T) {
 		t.Errorf("update explain commit = %+v, want version 2", out.Commit)
 	}
 }
+
+// TestQualifiedViewOnPlannerServer pins the PR 11 finding: on a default
+// (-planner) xtqd a maintained view whose layer carries a qualifier
+// answered 500 "method auto must be resolved by the planner", because
+// the IVM manager's sequential evaluation was handed the auto directive.
+// Both registrations are covered — lazy (PUT /views over HTTP) and
+// eagerly materialized (facade) — before and after a commit.
+func TestQualifiedViewOnPlannerServer(t *testing.T) {
+	st := xtq.NewStore(xtq.NewEngine(xtq.WithMethod(xtq.MethodAuto)))
+	ts := httptest.NewServer(newServer(st, 5*time.Second, 1<<20))
+	t.Cleanup(ts.Close)
+	if code, _, body := do(t, "PUT", ts.URL+"/docs/d", testDoc, nil); code != http.StatusCreated {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	layer := `transform copy $a := doc("d") modify do delete $a//supplier[sname = "HP"] return $a`
+	stack, err := json.Marshal([]string{layer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := do(t, "PUT", ts.URL+"/views/lazy", string(stack), nil); code != http.StatusCreated {
+		t.Fatalf("register lazy view: %d %s", code, body)
+	}
+	if _, err := st.RegisterMaterializedView("eager", layer); err != nil {
+		t.Fatal(err)
+	}
+	check := func(wantVersion string) {
+		t.Helper()
+		for _, v := range []string{"lazy", "eager"} {
+			code, hdr, body := do(t, "GET", ts.URL+"/docs/d/views/"+v, "", nil)
+			if code != http.StatusOK {
+				t.Fatalf("view %s: %d %s", v, code, body)
+			}
+			if strings.Contains(body, "HP") || !strings.Contains(body, "Dell") {
+				t.Errorf("view %s: wrong content %s", v, body)
+			}
+			if got := hdr.Get("X-Xtq-Version"); got != wantVersion {
+				t.Errorf("view %s: version %s, want %s", v, got, wantVersion)
+			}
+		}
+	}
+	check("1")
+	if code, _, body := do(t, "POST", ts.URL+"/docs/d/update",
+		`transform copy $a := doc("d") modify do delete $a//country return $a`, nil); code != http.StatusOK {
+		t.Fatalf("update: %d %s", code, body)
+	}
+	check("2")
+}

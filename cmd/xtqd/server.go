@@ -608,9 +608,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeResult serializes a result tree to the response through the Sink
-// layer, stamping the snapshot version it was computed over. An Emit
-// failure mid-write can only leave a truncated body (the status already
-// went out with the first flush), so it is not separately reported.
+// layer, stamping the snapshot version it was computed over. A failed
+// write (the client went away) stops the walk at once; it can only leave
+// a truncated body (the status already went out with the first flush),
+// so it is not separately reported.
 func writeResult(w http.ResponseWriter, snap *xtq.Snapshot, res *xtq.Node) {
 	versionHeaders(w, snap)
 	w.Header().Set("Content-Type", "application/xml")

@@ -87,10 +87,12 @@ type Manager struct {
 }
 
 // NewManager returns a manager evaluating qualified stacks with the
-// given method. cache, when non-nil, memoizes impact verdicts across
+// given method. The manager evaluates layers below the planner, so the
+// auto directive is resolved to topdown here, as WAL and follower
+// replay do. cache, when non-nil, memoizes impact verdicts across
 // commits (keyed by canonical view and update renderings).
 func NewManager(method core.Method, cache VerdictCache) *Manager {
-	if method == "" {
+	if method == "" || method == core.MethodAuto {
 		method = core.MethodTopDown
 	}
 	return &Manager{

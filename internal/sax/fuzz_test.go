@@ -8,6 +8,23 @@ import (
 	"xtq/internal/tree"
 )
 
+// FuzzParseSeeds is the seed corpus of FuzzParse, exported (this is a
+// _test file) so the emitter differential test in package sax_test can
+// replay it against the reference serializer.
+var FuzzParseSeeds = []string{
+	`<a/>`,
+	`<db><part><pname>keyboard</pname><supplier sid="s1">HP</supplier></part></db>`,
+	`<a attr="v&amp;w">x&lt;y&#65;</a>`,
+	`<a><!-- comment --><![CDATA[<raw>&stuff;]]>tail</a>`,
+	`<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a ANY>]><a>t</a>`,
+	`<a>` + strings.Repeat("<b>", 30) + strings.Repeat("</b>", 30) + `</a>`,
+	`<a b="c" d='e'><f/></a>`,
+	`<a>&#x1F600;</a>`,
+	`<a>]]></a>`,
+	`<mismatch></wrong>`,
+	`<unterminated`,
+}
+
 // FuzzParse asserts three properties on arbitrary input:
 //
 //   - the parser never panics — it either builds a tree or reports a
@@ -18,20 +35,7 @@ import (
 //   - the MaxDepth option is an invariant, not a hint: any accepted
 //     document respects the configured nesting limit.
 func FuzzParse(f *testing.F) {
-	seeds := []string{
-		`<a/>`,
-		`<db><part><pname>keyboard</pname><supplier sid="s1">HP</supplier></part></db>`,
-		`<a attr="v&amp;w">x&lt;y&#65;</a>`,
-		`<a><!-- comment --><![CDATA[<raw>&stuff;]]>tail</a>`,
-		`<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a ANY>]><a>t</a>`,
-		`<a>` + strings.Repeat("<b>", 30) + strings.Repeat("</b>", 30) + `</a>`,
-		`<a b="c" d='e'><f/></a>`,
-		`<a>&#x1F600;</a>`,
-		`<a>]]></a>`,
-		`<mismatch></wrong>`,
-		`<unterminated`,
-	}
-	for _, s := range seeds {
+	for _, s := range FuzzParseSeeds {
 		f.Add([]byte(s))
 	}
 	const maxDepth = 64

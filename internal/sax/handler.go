@@ -114,8 +114,13 @@ func (b *TreeBuilder) EndDocument() error {
 
 // Emit replays the subtree rooted at n as SAX events on h, including the
 // surrounding StartDocument/EndDocument pair when n is a document node.
-// It is the bridge from the DOM world back into the event world.
+// It is the bridge from the DOM world back into the event world. When h is
+// a *Writer the events would only be turned back into bytes, so the tree is
+// serialized directly (same output, no per-event dispatch).
 func Emit(n *tree.Node, h Handler) error {
+	if w, ok := h.(*Writer); ok {
+		return w.emitTree(n)
+	}
 	if n.Kind == tree.Document {
 		if err := h.StartDocument(); err != nil {
 			return err

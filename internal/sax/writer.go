@@ -1,7 +1,6 @@
 package sax
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -11,25 +10,37 @@ import (
 // Writer is a Handler that serializes the event stream back to XML. It is
 // the output side of the twoPassSAX evaluator: the second pass rewrites the
 // input event stream and pushes the result into a Writer (or any other
-// Handler, e.g. a TreeBuilder or a downstream query operator).
+// Handler, e.g. a TreeBuilder or a downstream query operator). Every event
+// reports the tree.Emitter's sticky write error, so producers stop at it.
 type Writer struct {
-	w    *bufio.Writer
+	e    tree.Emitter
 	open bool // a start tag is open and may still become self-closing
 }
 
 // NewWriter returns a Writer serializing to w.
 func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, 64<<10)}
+	return &Writer{e: tree.NewEmitter(w)}
 }
 
-// Flush writes buffered output to the underlying writer.
-func (s *Writer) Flush() error { return s.w.Flush() }
+// Flush writes buffered output to the underlying writer; repeatable.
+func (s *Writer) Flush() error { return s.e.Flush() }
 
 func (s *Writer) closeOpenTag() {
 	if s.open {
-		s.w.WriteByte('>')
+		s.e.Raw(">")
 		s.open = false
 	}
+}
+
+// emitTree serializes the subtree at n straight into the emitter — what
+// Emit(n, s) produces, without an interface call per event.
+func (s *Writer) emitTree(n *tree.Node) error {
+	s.closeOpenTag()
+	s.e.Node(n)
+	if n.Kind == tree.Document {
+		return s.EndDocument()
+	}
+	return s.e.Err()
 }
 
 // StartDocument implements Handler.
@@ -38,71 +49,31 @@ func (s *Writer) StartDocument() error { return nil }
 // StartElement implements Handler.
 func (s *Writer) StartElement(name string, attrs []tree.Attr) error {
 	s.closeOpenTag()
-	s.w.WriteByte('<')
-	s.w.WriteString(name)
-	for _, a := range attrs {
-		s.w.WriteByte(' ')
-		s.w.WriteString(a.Name)
-		s.w.WriteString(`="`)
-		escapeAttrTo(s.w, a.Value)
-		s.w.WriteByte('"')
-	}
+	s.e.StartTag(name, attrs)
 	s.open = true
-	return nil
+	return s.e.Err()
 }
 
 // Text implements Handler.
 func (s *Writer) Text(data string) error {
 	s.closeOpenTag()
-	escapeTextTo(s.w, data)
-	return nil
+	s.e.Text(data)
+	return s.e.Err()
 }
 
 // EndElement implements Handler.
 func (s *Writer) EndElement(name string) error {
 	if s.open {
-		s.w.WriteString("/>")
+		s.e.Raw("/>")
 		s.open = false
-		return nil
+	} else {
+		s.e.EndTag(name)
 	}
-	s.w.WriteString("</")
-	s.w.WriteString(name)
-	s.w.WriteByte('>')
-	return nil
+	return s.e.Err()
 }
 
 // EndDocument implements Handler.
-func (s *Writer) EndDocument() error { return s.w.Flush() }
-
-func escapeTextTo(w *bufio.Writer, s string) {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			w.WriteString("&amp;")
-		case '<':
-			w.WriteString("&lt;")
-		case '>':
-			w.WriteString("&gt;")
-		default:
-			w.WriteByte(s[i])
-		}
-	}
-}
-
-func escapeAttrTo(w *bufio.Writer, s string) {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case '&':
-			w.WriteString("&amp;")
-		case '<':
-			w.WriteString("&lt;")
-		case '"':
-			w.WriteString("&quot;")
-		default:
-			w.WriteByte(s[i])
-		}
-	}
-}
+func (s *Writer) EndDocument() error { return s.e.Flush() }
 
 // Event is one recorded SAX event, used by tests and diagnostics.
 type Event struct {

@@ -117,8 +117,9 @@ func TransformXML(c *core.Compiled, src Source, w io.Writer) (Result, error) {
 func TransformXMLContext(ctx context.Context, c *core.Compiled, src Source, w io.Writer) (Result, error) {
 	sw := sax.NewWriter(w)
 	res, err := TransformContext(ctx, c, src, sw)
-	if err != nil {
-		return res, err
+	if err == nil {
+		err = sw.Flush()
 	}
-	return res, xerr.Wrap(xerr.IO, sw.Flush())
+	// Untyped here means the writer's own error, surfaced mid-pass.
+	return res, xerr.Wrap(xerr.IO, err)
 }

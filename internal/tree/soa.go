@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"bufio"
 	"io"
 )
 
@@ -415,34 +414,29 @@ func buildCols(ix *Index) *Cols {
 
 // WriteXML serializes the snapshot by scanning the columns — label
 // symbols resolved through the frozen table, text and attribute spans
-// emitted without materializing any intermediate strings or visiting
-// the node structs' child slices. Byte-identical to Node.WriteXML over
-// the snapshot's root. It falls back to the pointer walk when the index
-// carries no columns.
+// emitted without visiting the node structs' child slices. It drives the
+// same Emitter as Node.WriteXML, so the bytes are identical, and falls
+// back to that pointer walk when the index carries no columns.
 func (ix *Index) WriteXML(w io.Writer) error {
 	if ix.cols == nil {
 		return ix.Root.WriteXML(w)
 	}
-	bw := bufio.NewWriter(w)
-	ix.writeOrd(bw, rootOrd(ix))
-	return bw.Flush()
-}
-
-func rootOrd(ix *Index) int32 {
+	e := NewEmitter(w)
 	ord, _ := ix.OrdOf(ix.Root)
-	return ord
+	ix.writeOrd(&e, ord)
+	return e.Flush()
 }
 
 // writeOrd streams the subtree at ord using the first/next link columns
 // with an explicit open-element stack (documents can be arbitrarily
-// deep).
-func (ix *Index) writeOrd(w *bufio.Writer, ord int32) {
+// deep), stopping once a write has failed.
+func (ix *Index) writeOrd(e *Emitter, ord int32) {
 	c := ix.cols
 	syms := ix.Syms
 	// stack holds the ordinals of open elements awaiting their end tag.
 	var stack []int32
 	cur := ord
-	for {
+	for e.err == nil {
 		switch c.kindAt(cur) {
 		case Document:
 			if f := c.firstAt(cur); f != NilOrd {
@@ -451,24 +445,16 @@ func (ix *Index) writeOrd(w *bufio.Writer, ord int32) {
 				continue
 			}
 		case Text:
-			escapeText(w, c.textAt(cur))
+			e.Text(c.textAt(cur))
 		case Element:
-			w.WriteByte('<')
-			w.WriteString(syms.Name(c.symAt(cur)))
-			for _, a := range c.attrsAt(cur) {
-				w.WriteByte(' ')
-				w.WriteString(a.Name)
-				w.WriteString(`="`)
-				escapeAttr(w, a.Value)
-				w.WriteByte('"')
-			}
+			e.StartTag(syms.Name(c.symAt(cur)), c.attrsAt(cur))
 			if f := c.firstAt(cur); f != NilOrd {
-				w.WriteByte('>')
+				e.Raw(">")
 				stack = append(stack, cur)
 				cur = f
 				continue
 			}
-			w.WriteString("/>")
+			e.Raw("/>")
 		}
 		// Leaf done: advance to the next sibling, closing elements as
 		// sibling chains run out.
@@ -483,9 +469,7 @@ func (ix *Index) writeOrd(w *bufio.Writer, ord int32) {
 			top := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			if c.kindAt(top) == Element {
-				w.WriteString("</")
-				w.WriteString(syms.Name(c.symAt(top)))
-				w.WriteByte('>')
+				e.EndTag(syms.Name(c.symAt(top)))
 			}
 			cur = top
 		}
