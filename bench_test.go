@@ -436,9 +436,8 @@ func BenchmarkParsePerCallSmallDoc(b *testing.B) {
 }
 
 // BenchmarkSealedSnapshotEval measures Prepared evaluation over a
-// sealed store snapshot — the structure-of-arrays read path every
-// xtqd query takes. Compare with BenchmarkPreparedReuse: sealing (and
-// the column core riding on the index) must not tax evaluation.
+// sealed store snapshot — the read path every xtqd query takes.
+// Compare with BenchmarkPreparedReuse: sealing must not tax evaluation.
 func BenchmarkSealedSnapshotEval(b *testing.B) {
 	doc := benchDoc(b, 0.01)
 	ctx := context.Background()
@@ -467,10 +466,9 @@ func BenchmarkSealedSnapshotEval(b *testing.B) {
 // BenchmarkPathCopyCommit measures the full write path — evaluate the
 // update, path-copy the touched spine, publish the version — under the
 // alternating //item rename workload of the store sweeps. The
-// copied-B/op metric is the per-commit copy volume: spine nodes plus
-// the column chunks they dirty, everything else shared with the
-// previous version (whole-tree copying cost ~2.1 MB/op here, see
-// BENCH_PR5.json).
+// copied-B/op metric is the per-commit copy volume: spine nodes and
+// their child slices, everything else shared with the previous version
+// (whole-tree copying cost ~2.1 MB/op here, see BENCH_PR5.json).
 func BenchmarkPathCopyCommit(b *testing.B) {
 	doc := benchDoc(b, 0.01)
 	ctx := context.Background()
@@ -514,8 +512,9 @@ func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); r
 // BenchmarkSerialize measures the three serialisation entry points over
 // the same XMark 0.05 document (≈2.1 MB, 92 k nodes): the event walk
 // every xtqd query response takes (sax.Emit into a sax.Writer), the
-// pointer walk (Node.WriteXML) and the column walk of a sealed snapshot
-// (Snapshot.WriteXML → Index.WriteXML). MB/s is the figure to compare.
+// pointer walk (Node.WriteXML) and the same walk over a sealed,
+// arena-backed snapshot (Snapshot.WriteXML). MB/s is the figure to
+// compare.
 func BenchmarkSerialize(b *testing.B) {
 	doc := benchDoc(b, 0.05)
 	st := NewStore(nil)
@@ -538,7 +537,7 @@ func BenchmarkSerialize(b *testing.B) {
 			return sw.Flush()
 		}},
 		{"node_writexml", doc.WriteXML},
-		{"cols_writexml", snap.WriteXML},
+		{"snapshot_writexml", snap.WriteXML},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var cd countingDiscard

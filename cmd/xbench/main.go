@@ -52,7 +52,7 @@ func main() {
 	ivmSweep := flag.Bool("ivm", false,
 		"view-maintenance sweep: maintained hot-view reads vs recomposition, commit overhead by registry size, /watch fan-out; with -json the report replaces the standard sweep")
 	soaSweep := flag.Bool("soa", false,
-		"structure-of-arrays sweep: sealed-snapshot read latency + path-copy commit copy volume at factors 0.01 and 0.1; with -json the report replaces the standard sweep")
+		"path-copy sweep: sealed-snapshot read latency + path-copy commit copy volume at factors 0.01 and 0.1; with -json the report replaces the standard sweep")
 	soaSmoke := flag.Bool("soasmoke", false,
 		"CI copy-tax check: fail unless copied bytes per commit stay below 10% of the document size on the alternating-rename workload")
 	planSweep := flag.Bool("plan", false,

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"xtq"
+	"xtq/internal/replica"
 )
 
 // startDurableServer runs a primary xtqd (durable store + /wal feed) on
@@ -224,15 +225,26 @@ func TestRouterShardsDocumentsAcrossPrimaries(t *testing.T) {
 		{primary: ptsB.URL, replicas: []string{ptsB.URL}}}))
 	defer rt.Close()
 
-	// Ingest a spread of documents through the single namespace.
-	names := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta"}
+	// Ingest a spread of documents through the single namespace. The
+	// shard keys are the primaries' URLs, whose ports differ from run to
+	// run, so the names are chosen by their computed owner: candidates
+	// are drawn until each shard owns at least two.
+	urls := []string{ptsA.URL, ptsB.URL}
+	owned := map[string]int{}
+	var names []string
+	for i := 0; owned[ptsA.URL] < 2 || owned[ptsB.URL] < 2; i++ {
+		n := fmt.Sprintf("doc%d", i)
+		owned[replica.PickNode(n, urls)]++
+		names = append(names, n)
+	}
 	for _, n := range names {
 		if code, _, body := do(t, "PUT", rt.URL+"/docs/"+n, testDoc, nil); code != http.StatusCreated {
 			t.Fatalf("ingest %s: %d %s", n, code, body)
 		}
 	}
-	if stA.Len() == 0 || stB.Len() == 0 {
-		t.Fatalf("sharding sent everything one way: %d/%d", stA.Len(), stB.Len())
+	if stA.Len() != owned[ptsA.URL] || stB.Len() != owned[ptsB.URL] {
+		t.Fatalf("sharding: %d/%d documents, want %d/%d by rendezvous owner",
+			stA.Len(), stB.Len(), owned[ptsA.URL], owned[ptsB.URL])
 	}
 	if stA.Len()+stB.Len() != len(names) {
 		t.Fatalf("lost documents: %d+%d != %d", stA.Len(), stB.Len(), len(names))

@@ -132,11 +132,6 @@ type commitMeta struct {
 	CopiedNodes    int   `json:"copied_nodes"`
 	CopiedBytes    int64 `json:"copied_bytes"`
 	SharedWithPrev int   `json:"shared_with_prev,omitempty"`
-	// Chunk-level sharing of the column store: a path-copy commit copies
-	// the chunks its spine touches and shares the rest with the previous
-	// version by reference.
-	CopiedChunks int `json:"copied_chunks,omitempty"`
-	SharedChunks int `json:"shared_chunks,omitempty"`
 }
 
 // commitJSON builds the write-response body from the request trace's
@@ -150,8 +145,6 @@ func commitJSON(ctx context.Context, name string, snap *xtq.Snapshot, com xtq.Co
 		CopiedNodes:    com.CopiedNodes,
 		CopiedBytes:    com.CopiedBytes,
 		SharedWithPrev: com.SharedWithPrev,
-		CopiedChunks:   com.CopiedChunks,
-		SharedChunks:   com.SharedChunks,
 	}
 	if tr := obs.TraceFrom(ctx); tr != nil {
 		if ct := tr.Commit(); ct != nil {
@@ -159,8 +152,6 @@ func commitJSON(ctx context.Context, name string, snap *xtq.Snapshot, com xtq.Co
 			meta.CopiedNodes = ct.CopiedNodes
 			meta.CopiedBytes = ct.CopiedBytes
 			meta.SharedWithPrev = ct.SharedWithPrev
-			meta.CopiedChunks = ct.CopiedChunks
-			meta.SharedChunks = ct.SharedChunks
 		}
 	}
 	return meta
@@ -395,7 +386,6 @@ func (s *server) handlePutDoc(w http.ResponseWriter, r *http.Request) {
 		tr.SetCommit(&obs.CommitTrace{
 			Kind: "put", Version: com.Version,
 			CopiedNodes: com.CopiedNodes, CopiedBytes: com.CopiedBytes,
-			CopiedChunks: com.CopiedChunks, SharedChunks: com.SharedChunks,
 		})
 	}
 	versionHeaders(w, snap)

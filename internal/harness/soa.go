@@ -11,24 +11,22 @@ import (
 	"xtq/internal/core"
 	"xtq/internal/queries"
 	"xtq/internal/store"
-	"xtq/internal/tree"
 )
 
-// soaFactors are the corpus scales of the structure-of-arrays sweep.
+// soaFactors are the corpus scales of the path-copy sweep.
 // The small factor matches the BENCH_PR5/PR7 store baselines (the
 // whole-tree-copy commit there moved ~2.1 MB per commit); the large one
 // shows the copy volume growing with the touched spine, not the
 // document.
 var soaFactors = []float64{0.01, 0.1}
 
-// SoA runs the structure-of-arrays sweep (`xbench -soa`): per factor,
-// the sealed-snapshot evaluation latency (the store read path over the
-// column-backed document) and the path-copy commit under the
-// alternating //item rename writer, with the copy volume and
-// chunk-sharing split the Commit reports. The headline column is
-// copied KB/commit: before path copying the store copied the whole
-// tree (2141 KB at factor 0.01, see BENCH_PR5.json); now only the
-// spine chunks move.
+// SoA runs the path-copy sweep (`xbench -soa`; the flag keeps its PR 8
+// name): per factor, the sealed-snapshot evaluation latency (the store
+// read path) and the path-copy commit under the alternating //item
+// rename writer, with the copy volume and node-sharing split the Commit
+// reports. The headline column is copied KB/commit: before path copying
+// the store copied the whole tree (2141 KB at factor 0.01, see
+// BENCH_PR5.json); now only the spine moves.
 func (r *Runner) SoA() {
 	fmt.Fprintf(r.opts.Out, "SoA sweep: sealed-snapshot reads (U2) + alternating //item rename commits, factors %v\n", soaFactors)
 	var rows [][]string
@@ -46,31 +44,26 @@ func (r *Runner) SoA() {
 		rows = append(rows, []string{
 			fmt.Sprintf("%.2f", factor),
 			fmt.Sprintf("%d", cell.docKB),
-			fmt.Sprintf("%d", cell.chunks),
 			fmt.Sprintf("%.1f", cell.readUs),
 			fmt.Sprintf("%.2f", cell.commitMs),
 			fmt.Sprintf("%.0f", cell.copiedKB),
-			fmt.Sprintf("%.1f/%.1f", cell.copiedChunks, cell.sharedChunks),
 			fmt.Sprintf("%.0f%%", cell.sharedPct),
 		})
 	}
-	table(r.opts.Out, []string{"factor", "doc KB", "chunks", "read us", "commit ms", "copied KB/commit", "chunks copied/shared", "nodes shared"}, rows)
+	table(r.opts.Out, []string{"factor", "doc KB", "read us", "commit ms", "copied KB/commit", "nodes shared"}, rows)
 }
 
 // soaCell is one measured factor of the SoA sweep.
 type soaCell struct {
-	docKB        int
-	docNodes     int
-	chunks       int
-	readUs       float64
-	readRes      testing.BenchmarkResult
-	commitMs     float64
-	commitRes    testing.BenchmarkResult
-	copiedKB     float64
-	copiedBytes  float64
-	copiedChunks float64
-	sharedChunks float64
-	sharedPct    float64
+	docKB       int
+	docNodes    int
+	readUs      float64
+	readRes     testing.BenchmarkResult
+	commitMs    float64
+	commitRes   testing.BenchmarkResult
+	copiedKB    float64
+	copiedBytes float64
+	sharedPct   float64
 }
 
 // measureSoACell builds a store over the factor's corpus and measures
@@ -94,13 +87,6 @@ func (r *Runner) measureSoACell(factor float64) (soaCell, error) {
 	}
 
 	cell := soaCell{docKB: len(xml) / 1024, docNodes: doc.Size()}
-	snap, err := st.Snapshot("d")
-	if err != nil {
-		return soaCell{}, err
-	}
-	if ix := tree.SealedOwner(snap.Root()); ix != nil && ix.Cols() != nil {
-		cell.chunks = ix.Cols().NumChunks()
-	}
 
 	cell.readRes = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
@@ -115,10 +101,10 @@ func (r *Runner) measureSoACell(factor float64) (soaCell, error) {
 	})
 	cell.readUs = float64(cell.readRes.T.Nanoseconds()) / float64(cell.readRes.N) / 1e3
 
-	var copied, copiedChunks, sharedChunks, sharedNodes, totalNodes int64
+	var copied, sharedNodes, totalNodes int64
 	cell.commitRes = testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
-		copied, copiedChunks, sharedChunks, sharedNodes, totalNodes = 0, 0, 0, 0, 0
+		copied, sharedNodes, totalNodes = 0, 0, 0
 		for i := 0; i < b.N; i++ {
 			writeC := writeA
 			if i%2 == 1 {
@@ -127,23 +113,17 @@ func (r *Runner) measureSoACell(factor float64) (soaCell, error) {
 			_, com, err := st.Apply(r.opts.Context, "d", writeC, core.MethodTopDown)
 			r.check(err)
 			copied += com.CopiedBytes
-			copiedChunks += int64(com.CopiedChunks)
-			sharedChunks += int64(com.SharedChunks)
 			sharedNodes += int64(com.SharedWithPrev)
 			totalNodes += int64(com.CopiedNodes + com.SharedWithPrev)
 		}
 		if b.N > 0 {
 			b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
-			b.ReportMetric(float64(copiedChunks)/float64(b.N), "copied-chunks/op")
-			b.ReportMetric(float64(sharedChunks)/float64(b.N), "shared-chunks/op")
 		}
 	})
 	n := float64(cell.commitRes.N)
 	cell.commitMs = float64(cell.commitRes.T.Nanoseconds()) / n / 1e6
 	cell.copiedBytes = float64(copied) / n
 	cell.copiedKB = cell.copiedBytes / 1024
-	cell.copiedChunks = float64(copiedChunks) / n
-	cell.sharedChunks = float64(sharedChunks) / n
 	if totalNodes > 0 {
 		cell.sharedPct = 100 * float64(sharedNodes) / float64(totalNodes)
 	}
@@ -189,7 +169,6 @@ func (r *Runner) SoAJSON(w io.Writer, factor float64) error {
 			commit.Extra = map[string]float64{}
 		}
 		commit.Extra["doc_bytes"] = float64(cell.docKB * 1024)
-		commit.Extra["chunks"] = float64(cell.chunks)
 		commit.Extra["shared_nodes_pct"] = cell.sharedPct
 		report.Results = append(report.Results, read, commit)
 	}
@@ -208,8 +187,7 @@ func (r *Runner) SoAJSON(w io.Writer, factor float64) error {
 // what every commit used to copy before path copying (~2.1 MB at this
 // factor, see store/commit/rename-items in BENCH_PR5.json). It returns
 // the measured fraction. A failure means structural sharing regressed —
-// some path started copying subtrees (or whole column chunks) it used
-// to share.
+// some path started copying subtrees it used to share.
 func (r *Runner) SoASmoke(maxFrac float64) (float64, error) {
 	const factor = 0.01
 	doc := r.Doc(factor)

@@ -8,9 +8,10 @@
 // Store commits are persistent path copies (tree.PathCopy): subtrees
 // an update does not touch keep their node pointers and ordinals
 // across versions of a snapshot chain. Maintenance code that caches
-// per-node state across commits must follow the tree.NodeRef identity
-// rules (see internal/tree and the README's Architecture section) —
-// in particular, refs die when a chain compacts and renumbers.
+// per-node state across commits keys it by the *Node pointer, which is
+// the node's identity within a chain (Index.Contains answers whether a
+// version still owns it); when a chain compacts, Freeze copies every
+// node and pointer-keyed state from the old chain no longer matches.
 package ivm
 
 import (

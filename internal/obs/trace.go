@@ -112,8 +112,6 @@ type CommitTrace struct {
 	CopiedNodes    int   `json:"copied_nodes"`
 	CopiedBytes    int64 `json:"copied_bytes"`
 	SharedWithPrev int   `json:"shared_with_prev,omitempty"`
-	CopiedChunks   int   `json:"copied_chunks,omitempty"`
-	SharedChunks   int   `json:"shared_chunks,omitempty"`
 	// Retries counts CAS rounds this commit lost before winning.
 	Retries int `json:"retries,omitempty"`
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"xtq/internal/sax"
+	"xtq/internal/store"
 	"xtq/internal/tree"
 	"xtq/internal/xmark"
 )
@@ -60,8 +61,9 @@ func refXML(b *bytes.Buffer, n *tree.Node) {
 
 // serializers are the three entry points that share the emitter: the
 // event walk (sax.Emit into a sax.Writer, xtqd's query responses), the
-// pointer walk (Node.WriteXML) and the column walk of a frozen snapshot
-// (Index.WriteXML).
+// pointer walk (Node.WriteXML) and a store snapshot frozen from the
+// document (Snapshot.WriteXML — GET /docs/{name}, checkpoints, follower
+// bootstrap).
 type serializer struct {
 	name  string
 	write func(doc *tree.Node, w io.Writer) error
@@ -76,12 +78,12 @@ var serializers = []serializer{
 		return sw.Flush()
 	}},
 	{"Node.WriteXML", func(doc *tree.Node, w io.Writer) error { return doc.WriteXML(w) }},
-	{"Index.WriteXML", func(doc *tree.Node, w io.Writer) error {
-		_, ix, _ := tree.Freeze(doc, nil)
-		if ix.Cols() == nil {
-			return errors.New("frozen index carries no columns")
+	{"Snapshot.WriteXML", func(doc *tree.Node, w io.Writer) error {
+		snap, _, err := store.New().Put("d", doc, false)
+		if err != nil {
+			return err
 		}
-		return ix.WriteXML(w)
+		return snap.WriteXML(w)
 	}},
 }
 

@@ -3,7 +3,7 @@
 // layer collects at Seal/Freeze time and maintains in O(|delta|) across
 // PathCopy commits (internal/tree/stats.go). The planner
 // (internal/plan) consumes this view by label name — it never touches
-// symbol ids or the columns — so the cost model stays independent of
+// symbol ids or the nodes — so the cost model stays independent of
 // the storage layout.
 package stats
 

@@ -16,11 +16,14 @@ var (
 	mCopiedNodes = obs.Default.Counter("xtq_store_commit_copied_nodes_total",
 		"Nodes copied by commits (path-copy spines plus inserted content).")
 	mCopiedBytes = obs.Default.Counter("xtq_store_commit_copied_bytes_total",
-		"Heap bytes retained by nodes and chunks commits copied.")
-	mCopiedChunks = obs.Default.Counter("xtq_store_commit_copied_chunks_total",
-		"Column chunks commits allocated or rewrote.")
-	mSharedChunks = obs.Default.Counter("xtq_store_commit_shared_chunks_total",
-		"Column chunks commits aliased from the previous version.")
+		"Heap bytes retained by the nodes, attribute and child slices commits copied.")
+	// The column core is gone and nothing increments these two; the
+	// families stay registered (reading 0) because the wire benchmark's
+	// scraper still asks for the first by name.
+	_ = obs.Default.Counter("xtq_store_commit_copied_chunks_total",
+		"Retired with the column core: always 0.")
+	_ = obs.Default.Counter("xtq_store_commit_shared_chunks_total",
+		"Retired with the column core: always 0.")
 	mCASRetries = obs.Default.Counter("xtq_store_cas_retries_total",
 		"Optimistic commits that lost the publishing CAS and re-evaluated.")
 	mCheckpointSeconds = obs.Default.Histogram("xtq_store_checkpoint_seconds",
@@ -35,11 +38,5 @@ func observeCommit(kind string, elapsed time.Duration, com Commit) {
 	}
 	if com.CopiedBytes > 0 {
 		mCopiedBytes.Add(uint64(com.CopiedBytes))
-	}
-	if com.CopiedChunks > 0 {
-		mCopiedChunks.Add(uint64(com.CopiedChunks))
-	}
-	if com.SharedChunks > 0 {
-		mSharedChunks.Add(uint64(com.SharedChunks))
 	}
 }

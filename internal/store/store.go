@@ -5,20 +5,19 @@
 // on).
 //
 // Named documents are held as immutable, indexed, sealed snapshots
-// (tree.Freeze / tree.Seal) backed by a structure-of-arrays core.
-// Readers obtain a *Snapshot via an atomic pointer load and evaluate
-// compiled queries and composition plans against it with zero locking
-// on the hot path: a sealed index is served by tree.EnsureIndex without
-// the package mutex, and nothing ever mutates or re-stamps a sealed
-// tree. Writers commit XQU updates persistently (shared structure): the
-// update's transform query is evaluated over the current snapshot
-// (structural sharing, input untouched), the result is adopted into the
-// next version of the chain with tree.PathCopy — copying only the spine
-// from each change to the root, aliasing every untouched subtree and
-// column chunk — and the new snapshot is published with a
-// compare-and-swap on the per-document version chain — optimistic
-// concurrency whose losers either retry (Apply) or surface a typed
-// conflict error (ApplyAt).
+// (tree.Freeze / tree.Seal). Readers obtain a *Snapshot via an atomic
+// pointer load and evaluate compiled queries and composition plans
+// against it with zero locking on the hot path: a sealed index is
+// served by tree.EnsureIndex without the package mutex, and nothing
+// ever mutates or re-stamps a sealed tree. Writers commit XQU updates
+// persistently (shared structure): the update's transform query is
+// evaluated over the current snapshot (structural sharing, input
+// untouched), the result is adopted into the next version of the chain
+// with tree.PathCopy — copying only the spine from each change to the
+// root, aliasing every untouched subtree — and the new snapshot is
+// published with a compare-and-swap on the per-document version chain —
+// optimistic concurrency whose losers either retry (Apply) or surface a
+// typed conflict error (ApplyAt).
 //
 // Removal is itself a committed version: Remove publishes a tombstone
 // snapshot, so a commit racing with a removal loses the CAS and
@@ -98,14 +97,8 @@ func (s *Snapshot) Deleted() bool { return s.deleted() }
 // Open — the engine unwraps the tree directly.
 func (s *Snapshot) Open() (io.ReadCloser, error) { return s.root.Open() }
 
-// WriteXML serializes the snapshot to w, streaming straight from the
-// structure-of-arrays columns when the snapshot carries them.
-func (s *Snapshot) WriteXML(w io.Writer) error {
-	if s.ix != nil && s.ix.Cols() != nil {
-		return s.ix.WriteXML(w)
-	}
-	return s.root.WriteXML(w)
-}
+// WriteXML serializes the snapshot to w.
+func (s *Snapshot) WriteXML(w io.Writer) error { return s.root.WriteXML(w) }
 
 // NumNodes returns the number of live nodes in the snapshot — the count
 // reachable from its root. Along a path-copied version chain this is
@@ -129,22 +122,15 @@ type Commit struct {
 	// CopiedNodes and CopiedBytes are the materialization cost of the
 	// commit: the nodes newly copied (for a path-copied update, only
 	// the spine from each change to the root plus inserted content) and
-	// the heap bytes they retain together with the column chunks copied
-	// for the new version. Zero for a no-op update (nothing matched:
-	// the new version shares the predecessor's whole tree) and for
-	// adopted ingests.
+	// the heap bytes they retain (node structs, attribute and child
+	// slices). Zero for a no-op update (nothing matched: the new version
+	// shares the predecessor's whole tree) and for adopted ingests.
 	CopiedNodes int
 	CopiedBytes int64
 	// SharedWithPrev counts result nodes the new version kept from the
 	// previous snapshot by reference — the "touches only the relevant
 	// region" number. A no-op update shares the whole tree.
 	SharedWithPrev int
-	// CopiedChunks and SharedChunks report chunk-level structure
-	// sharing between the new version's columns and the previous
-	// snapshot's: how many chunks the commit allocated or rewrote
-	// versus aliased untouched. A no-op update shares every chunk.
-	CopiedChunks int
-	SharedChunks int
 }
 
 // docState is the per-name version chain head plus the recent-history
@@ -562,10 +548,7 @@ func (st *Store) Put(name string, doc *tree.Node, adopt bool) (*Snapshot, Commit
 		if old != nil {
 			next.version = old.version + 1
 		}
-		com := Commit{
-			Version: next.version, CopiedNodes: cs.Nodes, CopiedBytes: cs.Bytes,
-			CopiedChunks: cs.CopiedChunks, SharedChunks: cs.SharedChunks,
-		}
+		com := Commit{Version: next.version, CopiedNodes: cs.Nodes, CopiedBytes: cs.Bytes}
 		ev := CommitEvent{Name: name, Kind: CommitPut, Version: next.version, Snap: next, PrevSnap: old}
 		if old != nil {
 			ev.Prev = old.version
@@ -654,8 +637,7 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 				Kind: "update", Version: com.Version, NoOp: noop,
 				CopiedNodes: com.CopiedNodes, CopiedBytes: com.CopiedBytes,
 				SharedWithPrev: com.SharedWithPrev,
-				CopiedChunks:   com.CopiedChunks, SharedChunks: com.SharedChunks,
-				Retries: retries,
+				Retries:        retries,
 			})
 		}
 	}
@@ -719,17 +701,13 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 		if noop {
 			next.root, next.ix = snap.root, snap.ix
 			// Nothing was copied; the stats still say what was shared —
-			// the whole previous tree, every chunk.
+			// the whole previous tree.
 			com.SharedWithPrev = snap.NumNodes()
-			if cols := snap.ix.Cols(); cols != nil {
-				com.SharedChunks = cols.NumChunks()
-			}
 		} else {
 			var cs tree.CopyStats
 			next.root, next.ix, cs = tree.PathCopy(out, snap.ix)
 			com.CopiedNodes, com.CopiedBytes = cs.Nodes, cs.Bytes
 			com.SharedWithPrev = cs.SharedWithBase
-			com.CopiedChunks, com.SharedChunks = cs.CopiedChunks, cs.SharedChunks
 		}
 
 		ev := CommitEvent{

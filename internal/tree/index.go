@@ -30,7 +30,9 @@ import (
 // versioned store snapshots safe to read without locks while other trees
 // are being indexed.
 type Index struct {
-	// Root is the document node the index was built from.
+	// Root is the document node the index was built from. It is nil on
+	// the membership stamp PathCopy puts on a version's non-root nodes —
+	// an Index equal to the version's in everything else.
 	Root *Node
 	// Syms holds every element label and attribute name of the document
 	// (plus any symbols interned by the builder before the freeze). It is
@@ -56,17 +58,15 @@ type Index struct {
 	// to other goroutines (Seal's contract), so the lock-free fast paths
 	// may read it without synchronization.
 	sealed bool
-	// cols is the structure-of-arrays view of a sealed snapshot (nil for
-	// plain evaluation indexes and for sealed trees containing foreign
-	// sealed subtrees, which keep the pointer-walk paths).
-	cols *Cols
 	// chain identifies the persistent version chain this sealed snapshot
 	// belongs to: every version produced from it by PathCopy shares the
 	// same chain pointer, and epoch counts the version's distance from
 	// the chain's freeze. Membership (OrdOf) accepts nodes stamped by
 	// any ancestor version — the aliased, unchanged subtrees a path copy
 	// shares by reference — because their ordinals and symbols are
-	// stable across the chain. nil for non-chain indexes.
+	// stable across the chain. nil for non-chain indexes: plain
+	// evaluation indexes, and sealed trees containing foreign sealed
+	// subtrees, which PathCopy adopts by a full Freeze.
 	chain *chainID
 	epoch int32
 	// stats caches the per-document statistics record (see stats.go):
@@ -208,23 +208,17 @@ func Seal(doc *Node) *Index {
 	if ix.Live == 0 {
 		ix.Live = ix.NumNodes
 	}
-	// Adopt the tree into the structure-of-arrays core: one array-fill
-	// walk reusing the stamped ordinals turns the sealed snapshot into
-	// the chunked columnar form that path-copy commits share structure
-	// with. Trees containing foreign sealed subtrees are not fully
-	// stamped and stay pointer-only (cols nil); PathCopy falls back to a
-	// Freeze for them.
-	if ix.cols == nil {
-		ix.cols = buildCols(ix)
-	}
-	if ix.chain == nil && ix.cols != nil {
-		ix.chain = &chainID{}
-	}
-	// Collect the planner's statistics while the whole tree is at hand:
-	// one pass over the columns (or the walk, for partially-foreign
-	// trees), instead of a lazy walk on the first planned evaluation.
-	if ix.stats.Load() == nil {
-		ix.stats.Store(computeStats(ix))
+	// One walk while the whole tree is at hand collects the planner's
+	// statistics (instead of a lazy walk on the first planned evaluation)
+	// and decides whether the snapshot can head a version chain: PathCopy
+	// shares by membership, so every reachable node must be owned by ix.
+	// Trees containing foreign sealed subtrees stay chainless.
+	if ix.chain == nil {
+		s, foreign := recount(ix)
+		ix.stats.Store(s)
+		if foreign == 0 {
+			ix.chain = &chainID{}
+		}
 	}
 	return ix
 }

@@ -6,55 +6,58 @@ package tree
 // version's own nodes, shared by reference — it adopts only the new
 // nodes (the spine from each change to the root, plus inserted
 // content) into the next version of the chain, aliasing everything
-// else. The new version shares the previous version's column chunks,
-// node arenas, and symbol table; commit cost is O(|delta|) instead of
-// the Θ(|T|) a full Freeze pays.
+// else. The pointer tree is the whole representation: what the new
+// version adds to the heap is its new nodes, their child slices, its
+// Index and one Stats record — O(|delta|), instead of the Θ(|T|) a full
+// Freeze pays — and a superseded version is garbage as soon as nothing
+// (a history ring slot, a reader) holds its root. A node that lives on
+// in later versions keeps itself and its version's membership stamp
+// alive, and nothing else of the version it was created in.
 //
 // How a version is built:
 //
-//   - Nodes of out that prev owns (chain membership, OrdOf) are kept by
-//     reference: their subtree, ordinals, and column rows carry over
-//     untouched. The four update operations never duplicate or move a
-//     source subtree, so a member node appears at most once in out and
-//     its links are unambiguous.
-//   - Every other node is copied into the version's arena and appended
-//     at the tail of the chain's ordinal space. Copying (rather than
-//     stamping out's nodes in place) matters: evaluators alias query
-//     constants (the insert/replace element) into their output, and
-//     those may be shared across commits.
-//   - Aliased children of new nodes get link fixups: their parent
-//     ordinal (the parent was re-created) and, where siblings changed
-//     around them, their next-sibling ordinal. Fixups copy only the
-//     touched link-column chunks (~1KB each).
+//   - Nodes of out that prev owns (chain membership, Contains) are kept
+//     by reference: their subtree and ordinals carry over untouched. The
+//     four update operations never duplicate or move a source subtree,
+//     so a member node appears at most once in out.
+//   - Every other node is copied and numbered at the tail of the
+//     chain's ordinal space. Copying (rather than stamping out's nodes
+//     in place) matters: evaluators alias query constants (the
+//     insert/replace element) into their output, and those may be
+//     shared across commits. Each copy is its own allocation: in a
+//     shared arena chunk one surviving node would keep its dead
+//     chunk-mates' child slices reachable, those slices reach dead
+//     nodes of older versions, and so on back to the chain's freeze.
 //
 // Replaced ordinals become holes: NumNodes (the width the evaluators
 // size their annotation arrays by) only grows along a chain, while Live
 // tracks the reachable count. When the width exceeds compactMinWidth
 // and twice the live count, PathCopy falls back to a full Freeze that
-// starts a fresh, dense chain — bounding both ordinal-space growth and
-// the retention of dead nodes pinned by shared chunks.
+// starts a fresh, dense chain, bounding ordinal-space growth.
 //
-// prev must be a sealed columnar snapshot (Freeze, or Seal over a fully
-// owned tree); anything else falls back to Freeze.
+// prev must be a sealed snapshot that owns its whole tree (Freeze,
+// PathCopy, or Seal over a fully owned tree); anything else falls back
+// to Freeze.
 func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
-	if prev == nil || !prev.sealed || prev.cols == nil || prev.chain == nil {
+	if prev == nil || !prev.sealed || prev.chain == nil {
 		return Freeze(out, prev)
 	}
-	if _, ok := prev.OrdOf(out); ok {
+	if prev.Contains(out) {
 		// The evaluation returned the previous root itself: nothing
 		// changed, the "new" version is the old one in full.
-		return out, prev, CopyStats{
-			SharedWithBase: prev.Live,
-			SharedChunks:   prev.cols.NumChunks(),
-		}
+		return out, prev, CopyStats{SharedWithBase: prev.Live}
 	}
 
-	ix := &Index{
-		Root:   nil, // set below
-		sealed: true,
-		chain:  prev.chain,
-		epoch:  prev.epoch + 1,
-	}
+	// Two stamps describe the version. ix is its Index proper — it knows
+	// the root — and is stamped on the root alone, which no later version
+	// can alias (every commit builds a new root). Every other new node
+	// carries member: the same chain, epoch, symbols, width and
+	// statistics, but no Root. A node that survives into later versions
+	// then pins its birth version's membership and nothing more; through
+	// a Root it would pin that version's spine, whose aliased children
+	// pin the version before, and so on down the whole history.
+	ix := &Index{sealed: true, chain: prev.chain, epoch: prev.epoch + 1}
+	member := &Index{sealed: true, chain: ix.chain, epoch: ix.epoch}
 	// The chain's symbol table is reused by pointer while the commit
 	// introduces no new labels or attribute names, so symbol ids stay
 	// comparable across every version of the chain; the first genuinely
@@ -72,31 +75,22 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		return syms.Intern(name)
 	}
 
-	b := newColsBuilder(prev.cols)
-	ar := &arena{}
-	start := int32(prev.NumNodes)
-	next := start
-	var stats CopyStats
-
 	// The statistics record is maintained incrementally alongside the
 	// copy: nodes this commit creates are added as the walk allocates
 	// them (their depth is the walk's frame depth — the spine runs from
 	// the root), and the previous version's dropped nodes are
 	// subtracted afterwards by a prune-at-aliased-subtrees walk (see
-	// below). kept records the ordinals of the aliased subtree roots
-	// that walk prunes at.
+	// below). kept records the aliased subtree roots that walk prunes at.
 	ns := prev.Stats().clone(prev.Syms.Len())
-	kept := make(map[int32]struct{}, 8)
+	kept := make(map[*Node]struct{}, 8)
 
-	// Per-new-node records for the post-walk subtree-size accumulation:
-	// parent ordinal and size, indexed by ord-start.
-	var parents, sizes []int32
-
-	alloc := func(src *Node) (*Node, int32) {
-		dst := ar.alloc(src)
-		ord := next
-		next++
-		b.grow(next)
+	var (
+		stats CopyStats
+		next  = int32(prev.NumNodes)
+	)
+	alloc := func(src *Node, depth int32) *Node {
+		dst := new(Node)
+		dst.copyPayload(src)
 		stats.Nodes++
 		stats.Bytes += nodeBytes + int64(len(dst.Attrs))*attrBytes
 		if dst.Kind == Element {
@@ -107,129 +101,86 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 				intern(dst.Attrs[i].Name)
 			}
 		}
-		dst.ord = ord
-		dst.idx.Store(ix)
-		parents = append(parents, NilOrd)
-		sizes = append(sizes, 1)
-		return dst, ord
+		dst.ord = next
+		next++
+		dst.idx.Store(member)
+		ns.add(dst, depth)
+		return dst
 	}
 
 	type frame struct {
-		src       *Node // node in out (not a member of prev)
-		dst       *Node // its arena copy
-		ord       int32
-		parentOrd int32
-		nextOrd   int32 // next-sibling ordinal (NilOrd for last child)
-		depth     int32
+		src   *Node // node in out (not a member of prev)
+		dst   *Node // its copy
+		depth int32
 	}
-
-	root, rootOrd := alloc(out)
-	ns.add(root, 0)
-	stack := []frame{{out, root, rootOrd, NilOrd, NilOrd, 0}}
+	root := alloc(out, 0)
+	root.idx.Store(ix)
+	stack := []frame{{out, root, 0}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		parents[f.ord-start] = f.parentOrd
-
 		nc := len(f.src.Children)
-		first := NilOrd
-		if nc > 0 {
-			f.dst.Children = make([]*Node, nc)
-			stats.Bytes += int64(nc) * ptrBytes
-			// First pass: resolve every child to (node, ordinal), so
-			// sibling links are known before any row is written.
-			ords := make([]int32, nc)
-			for i, ch := range f.src.Children {
-				if co, ok := prev.OrdOf(ch); ok {
-					f.dst.Children[i] = ch
-					ords[i] = co
-					kept[co] = struct{}{}
-					csz := prev.cols.sizeAt(co)
-					sizes[f.ord-start] += csz
-					stats.SharedWithBase += int(csz)
-					continue
-				}
-				cd, co := alloc(ch)
-				ns.add(cd, f.depth+1)
-				f.dst.Children[i] = cd
-				ords[i] = co
+		if nc == 0 {
+			continue
+		}
+		f.dst.Children = make([]*Node, nc)
+		stats.Bytes += int64(nc) * ptrBytes
+		for i, ch := range f.src.Children {
+			if prev.Contains(ch) {
+				f.dst.Children[i] = ch
+				kept[ch] = struct{}{}
+				continue
 			}
-			first = ords[0]
-			// Second pass: aliased children get their (changed) parent
-			// and sibling links rewritten in place in the columns; new
-			// children get frames carrying theirs.
-			for i := nc - 1; i >= 0; i-- {
-				sib := NilOrd
-				if i+1 < nc {
-					sib = ords[i+1]
-				}
-				ch := f.dst.Children[i]
-				if ords[i] < start {
-					b.setParent(ords[i], f.ord)
-					b.setNext(ords[i], sib)
-					continue
-				}
-				stack = append(stack, frame{f.src.Children[i], ch, ords[i], f.ord, sib, f.depth + 1})
+			f.dst.Children[i] = alloc(ch, f.depth+1)
+		}
+		// New children get frames, pushed in reverse so they pop in
+		// document order.
+		for i := nc - 1; i >= 0; i-- {
+			if ch := f.src.Children[i]; f.dst.Children[i] != ch {
+				stack = append(stack, frame{ch, f.dst.Children[i], f.depth + 1})
 			}
 		}
-		b.setRow(f.ord, f.dst, f.parentOrd, first, f.nextOrd, 1)
 	}
 
-	// Sizes bottom-up: a new node's ordinal is always larger than its
-	// new parent's (children are allocated while their parent's frame is
-	// processed), so a reverse scan accumulates each subtree before its
-	// parent. All new rows sit in fresh tail chunks — in-place writes.
-	c := b.c
-	for i := int32(len(sizes)) - 1; i >= 0; i-- {
-		if p := parents[i]; p >= start {
-			sizes[p-start] += sizes[i]
+	// Subtract the previous version's dropped nodes from the statistics:
+	// walk its tree from its root, pruning at every aliased subtree
+	// (those survive wholesale, and the update operations never move a
+	// surviving subtree, so its depths carry over unchanged). Cost is
+	// O(spine + deleted), the same delta the copy itself paid.
+	dropped := 0
+	stack = append(stack, frame{src: prev.Root})
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if _, ok := kept[f.src]; ok {
+			continue
 		}
-		ord := start + i
-		c.size[ord>>ChunkShift][ord&chunkMask] = sizes[i]
+		ns.sub(f.src, f.depth)
+		dropped++
+		for _, ch := range f.src.Children {
+			stack = append(stack, frame{src: ch, depth: f.depth + 1})
+		}
 	}
 
-	live := int(sizes[0])
+	live := prev.Live + stats.Nodes - dropped
 	width := int(next)
 	if width > compactMinWidth && width > 2*live {
 		// The chain's ordinal space has outgrown its live tree: dead
 		// ordinals dominate, which bloats every per-ordinal evaluator
-		// array and pins dead nodes via shared chunks. Renumber into a
-		// fresh, dense chain. The arena copies built above become
-		// garbage; correctness is unaffected (out was never stamped).
+		// array. Renumber into a fresh, dense chain. The copies built
+		// above become garbage; correctness is unaffected (out was never
+		// stamped).
 		return Freeze(out, prev)
 	}
 
-	// Subtract the previous version's dropped nodes from the statistics:
-	// walk its columns from its root, pruning at every aliased subtree
-	// (those survive wholesale, and the update operations never move a
-	// surviving subtree, so its depths carry over unchanged). Cost is
-	// O(spine + deleted), the same delta the copy itself paid.
-	{
-		type dframe struct{ ord, depth int32 }
-		dstack := make([]dframe, 0, 16)
-		po, _ := prev.OrdOf(prev.Root)
-		dstack = append(dstack, dframe{po, 0})
-		for len(dstack) > 0 {
-			f := dstack[len(dstack)-1]
-			dstack = dstack[:len(dstack)-1]
-			if _, ok := kept[f.ord]; ok {
-				continue
-			}
-			ns.subOrd(prev.cols, f.ord, f.depth)
-			for ch := prev.cols.firstAt(f.ord); ch != NilOrd; ch = prev.cols.nextAt(ch) {
-				dstack = append(dstack, dframe{ch, f.depth + 1})
-			}
-		}
-	}
-
+	stats.SharedWithBase = prev.Live - dropped
 	ix.Root = root
-	ix.Syms = syms
-	ix.NumNodes = width
-	ix.Live = live
-	ix.cols = b.finish()
-	ix.stats.Store(ns)
-	stats.Bytes += b.bytes
-	stats.CopiedChunks, stats.SharedChunks = b.chunkStats()
+	for _, x := range [...]*Index{ix, member} {
+		x.Syms = syms
+		x.NumNodes = width
+		x.Live = live
+		x.stats.Store(ns)
+	}
 	return root, ix, stats
 }
 

@@ -4,14 +4,14 @@ import "unsafe"
 
 // This file holds the freeze half of the versioned document store's
 // snapshot machinery: adopting an arbitrary tree into a fresh, fully
-// owned, sealed, columnar snapshot that starts a new version chain.
-// Commits against an existing chain take the cheap path instead —
-// PathCopy (persist.go) copies only the spine the update touched and
-// shares every other chunk with the previous version. Freeze remains
-// the Θ(|T|) entry point: first ingestion of a document, adoption of
-// trees that share nodes with other sealed snapshots, and the
-// compaction fallback that renumbers a chain whose ordinal space has
-// grown past twice its live size.
+// owned, sealed snapshot that starts a new version chain. Commits
+// against an existing chain take the cheap path instead — PathCopy
+// (persist.go) copies only the spine the update touched and shares
+// every other subtree with the previous version by reference. Freeze
+// remains the Θ(|T|) entry point: first ingestion of a document,
+// adoption of trees that share nodes with other sealed snapshots, and
+// the compaction fallback that renumbers a chain whose ordinal space
+// has grown past twice its live size.
 
 // CopyStats reports the work of one Freeze or PathCopy.
 type CopyStats struct {
@@ -20,8 +20,7 @@ type CopyStats struct {
 	// for a PathCopy.
 	Nodes int
 	// Bytes approximates the heap bytes newly retained by the copy: the
-	// node structs, attribute and child slices, and the column chunks
-	// allocated or copy-on-write-copied for the new version. Label and
+	// node structs and their attribute and child slices. Label and
 	// character-data strings are shared with the source (Go strings are
 	// immutable), so they are not counted.
 	Bytes int64
@@ -31,14 +30,6 @@ type CopyStats struct {
 	// copies those nodes anyway (it only counts them); a PathCopy
 	// aliases them.
 	SharedWithBase int
-	// CopiedChunks and SharedChunks report chunk-level sharing of the
-	// structure-of-arrays columns with the previous version: of the new
-	// snapshot's chunks, how many this construction allocated or wrote
-	// (CopiedChunks) versus aliased untouched from the base
-	// (SharedChunks). A Freeze shares nothing; a no-op path copy shares
-	// everything.
-	CopiedChunks int
-	SharedChunks int
 }
 
 // nodeBytes is the approximate retained size of one copied node.
@@ -50,24 +41,36 @@ const attrBytes = int64(unsafe.Sizeof(Attr{}))
 // ptrBytes is the retained size of one child-slice entry.
 const ptrBytes = int64(unsafe.Sizeof((*Node)(nil)))
 
-// arena allocates the nodes of one snapshot version in ChunkSize runs,
-// so a version's new nodes are contiguous in memory (cache-friendly
-// scans) and a node's identity is its slot in a chunk — stable for as
-// long as any later version aliases it. The atomic idx field of each
-// node is written exactly once, before the snapshot is published.
+// arena allocates the nodes of one Freeze in chunks — the first holds
+// arenaMinChunk nodes and each later one doubles, up to arenaMaxChunk —
+// so a tiny document retains a few hundred bytes of node storage while
+// a large one is laid out in long contiguous runs. Chunks are never
+// reallocated: a node's address is stable for as long as any later
+// version aliases it. The atomic idx field of each node is written
+// exactly once, before the snapshot is published.
 type arena struct {
-	chunks [][]Node
-	n      int
+	cur []Node // current chunk: len used, cap allocated
 }
 
-// alloc copies src's payload (kind, label, data, attributes — never the
-// children or the index stamp) into the next arena slot.
+const (
+	arenaMinChunk = 8
+	arenaMaxChunk = 256
+)
+
+// alloc returns the next arena slot holding a copy of src's payload.
 func (a *arena) alloc(src *Node) *Node {
-	if a.n&chunkMask == 0 {
-		a.chunks = append(a.chunks, make([]Node, ChunkSize))
+	if len(a.cur) == cap(a.cur) {
+		a.cur = make([]Node, 0, min(max(2*cap(a.cur), arenaMinChunk), arenaMaxChunk))
 	}
-	dst := &a.chunks[len(a.chunks)-1][a.n&chunkMask]
-	a.n++
+	a.cur = a.cur[:len(a.cur)+1]
+	dst := &a.cur[len(a.cur)-1]
+	dst.copyPayload(src)
+	return dst
+}
+
+// copyPayload copies src's kind, label, data and attributes — never the
+// children or the index stamp — into the zero node dst.
+func (dst *Node) copyPayload(src *Node) {
 	dst.Kind = src.Kind
 	dst.Sym = src.Sym
 	dst.Label = src.Label
@@ -76,16 +79,15 @@ func (a *arena) alloc(src *Node) *Node {
 		dst.Attrs = make([]Attr, len(src.Attrs))
 		copy(dst.Attrs, src.Attrs)
 	}
-	return dst
 }
 
 // Freeze deep-copies the subtree rooted at src into a fresh, arena-
 // backed tree that shares no nodes with any other document, indexing
 // and sealing it in the same pass: every copied node is stamped with
-// its preorder ordinal, labels and attribute names are interned, the
-// structure-of-arrays columns are built, and the resulting index starts
-// a new version chain — ready to be published (via an atomic pointer)
-// to lock-free readers and to serve as the base of PathCopy commits.
+// its preorder ordinal, labels and attribute names are interned, and
+// the resulting index starts a new version chain — ready to be
+// published (via an atomic pointer) to lock-free readers and to serve
+// as the base of PathCopy commits.
 //
 // base, when non-nil, is the index of the document src derives from
 // (for a compaction, the previous snapshot): its frozen symbol table is
@@ -103,9 +105,32 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 	}
 	var stats CopyStats
 	ix := &Index{Syms: syms, sealed: true, chain: &chainID{}}
-	ar := &arena{}
+	ns := &Stats{PerSym: make([]int32, syms.Len()), Gen: statsGen.Add(1)}
+	var ar arena
 	ord := int32(0)
-	stamp := func(n *Node) {
+	// Iterative walk copying and stamping each node as it is popped, with
+	// children pushed in reverse: ordinals are assigned in strict preorder
+	// (document order) — the evaluators' ordinal-based anchoring and dedup
+	// rely on that order, not just on density — and the arena is laid out
+	// in the same order, so every later document-order walk reads memory
+	// front to back.
+	type frame struct {
+		src    *Node
+		parent *Node // copy whose child slot receives this node's copy
+		slot   int
+		depth  int32
+	}
+	var root *Node
+	stack := []frame{{src: src}}
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := ar.alloc(f.src)
+		if f.parent == nil {
+			root = n
+		} else {
+			f.parent.Children[f.slot] = n
+		}
 		n.ord = ord
 		n.idx.Store(ix)
 		ord++
@@ -119,43 +144,24 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 				syms.Intern(n.Attrs[i].Name)
 			}
 		}
-	}
-
-	root := ar.alloc(src)
-	// Iterative walk stamping each copy as it is popped with children
-	// pushed in reverse, so ordinals are assigned in strict preorder
-	// (document order) — the evaluators' ordinal-based anchoring and
-	// dedup rely on that order, not just on density.
-	type frame struct{ src, dst *Node }
-	stack := []frame{{src, root}}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		stamp(f.dst)
+		ns.add(n, f.depth)
 		if base != nil && base.Contains(f.src) {
 			stats.SharedWithBase++
 		}
-		if len(f.src.Children) == 0 {
+		nc := len(f.src.Children)
+		if nc == 0 {
 			continue
 		}
-		f.dst.Children = make([]*Node, len(f.src.Children))
-		stats.Bytes += int64(len(f.src.Children)) * ptrBytes
-		for i := len(f.src.Children) - 1; i >= 0; i-- {
-			ch := f.src.Children[i]
-			c := ar.alloc(ch)
-			f.dst.Children[i] = c
-			stack = append(stack, frame{ch, c})
+		n.Children = make([]*Node, nc)
+		stats.Bytes += int64(nc) * ptrBytes
+		for i := nc - 1; i >= 0; i-- {
+			stack = append(stack, frame{f.src.Children[i], n, i, f.depth + 1})
 		}
 	}
 	ix.Root = root
 	ix.NumNodes = int(ord)
 	ix.Live = int(ord)
-	ix.cols = buildCols(ix)
-	if ix.cols != nil {
-		stats.CopiedChunks = ix.cols.NumChunks()
-		stats.Bytes += int64(stats.CopiedChunks) * colsChunkBytes
-	}
-	ix.stats.Store(computeStats(ix))
+	ix.stats.Store(ns)
 	return root, ix, stats
 }
 

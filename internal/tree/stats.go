@@ -5,10 +5,10 @@ import "sync/atomic"
 // This file holds the statistics half of the planning subsystem: every
 // sealed snapshot carries per-document statistics — node counts per
 // label symbol, a depth histogram, totals — collected in one pass over
-// the structure-of-arrays columns when the snapshot is built and
-// maintained in O(|delta|) across PathCopy commits, so the cost-based
-// method planner (internal/plan) can estimate per-(query, document)
-// evaluation cost without ever walking the tree.
+// the tree when the snapshot is built and maintained in O(|delta|)
+// across PathCopy commits, so the cost-based method planner
+// (internal/plan) can estimate per-(query, document) evaluation cost
+// without ever walking the tree.
 
 // DepthBuckets is the number of buckets of the depth histogram; the
 // last bucket collects every depth >= DepthBuckets-1. 32 covers real
@@ -99,33 +99,23 @@ func (s *Stats) bump(sym SymID, delta int32) {
 
 // add accounts one node entering the document at the given depth. The
 // node's Sym must already be valid in the target table.
-func (s *Stats) add(n *Node, depth int32) {
-	s.Nodes++
-	s.Depth[depthBucket(depth)]++
-	s.Attrs += len(n.Attrs)
+func (s *Stats) add(n *Node, depth int32) { s.count(n, depth, 1) }
+
+// sub accounts one node leaving the document at the given depth.
+func (s *Stats) sub(n *Node, depth int32) { s.count(n, depth, -1) }
+
+// count moves every total n contributes to by d (+1 or -1).
+func (s *Stats) count(n *Node, depth, d int32) {
+	s.Nodes += int(d)
+	s.Depth[depthBucket(depth)] += d
+	s.Attrs += int(d) * len(n.Attrs)
 	switch n.Kind {
 	case Element:
-		s.Elems++
-		s.bump(n.Sym, 1)
+		s.Elems += int(d)
+		s.bump(n.Sym, d)
 	case Text:
-		s.Texts++
-		s.TextBytes += int64(len(n.Data))
-	}
-}
-
-// subOrd accounts one node (by ordinal, through the previous version's
-// columns) leaving the document at the given depth.
-func (s *Stats) subOrd(c *Cols, ord, depth int32) {
-	s.Nodes--
-	s.Depth[depthBucket(depth)]--
-	s.Attrs -= len(c.attrsAt(ord))
-	switch c.kindAt(ord) {
-	case Element:
-		s.Elems--
-		s.bump(c.symAt(ord), -1)
-	case Text:
-		s.Texts--
-		s.TextBytes -= int64(len(c.textAt(ord)))
+		s.Texts += int(d)
+		s.TextBytes += int64(d) * int64(len(n.Data))
 	}
 }
 
@@ -137,57 +127,20 @@ func (ix *Index) Stats() *Stats {
 	if s := ix.stats.Load(); s != nil {
 		return s
 	}
-	s := computeStats(ix)
+	s, _ := recount(ix)
 	if ix.stats.CompareAndSwap(nil, s) {
 		return s
 	}
 	return ix.stats.Load()
 }
 
-// computeStats builds a fresh record: one pass over the sym/kind/parent
-// columns when the snapshot is dense columnar, a pointer walk otherwise.
-func computeStats(ix *Index) *Stats {
-	if ix.cols != nil && ix.Live == ix.NumNodes {
-		return colsStats(ix)
-	}
-	return recountStats(ix)
-}
-
-// colsStats scans the columns of a dense (freshly frozen or sealed)
-// snapshot. Ordinals are a preorder numbering there, so every parent
-// ordinal precedes its children and one forward pass computes depths.
-func colsStats(ix *Index) *Stats {
-	s := &Stats{PerSym: make([]int32, ix.Syms.Len()), Gen: statsGen.Add(1)}
-	c := ix.cols
-	width := int32(ix.NumNodes)
-	depth := make([]int32, width)
-	for ord := int32(0); ord < width; ord++ {
-		d := int32(0)
-		if p := c.parentAt(ord); p != NilOrd {
-			d = depth[p] + 1
-		}
-		depth[ord] = d
-		s.Nodes++
-		s.Depth[depthBucket(d)]++
-		s.Attrs += len(c.attrsAt(ord))
-		switch c.kindAt(ord) {
-		case Element:
-			s.Elems++
-			s.bump(c.symAt(ord), 1)
-		case Text:
-			s.Texts++
-			s.TextBytes += int64(len(c.textAt(ord)))
-		}
-	}
-	return s
-}
-
-// recountStats walks the live tree from the root — the path for plain
-// evaluation indexes and for sealed trees containing foreign subtrees,
-// and the from-scratch oracle the incremental maintenance is tested
-// against.
-func recountStats(ix *Index) *Stats {
-	s := &Stats{PerSym: make([]int32, ix.Syms.Len()), Gen: statsGen.Add(1)}
+// recount walks the live tree from the root, building a fresh record
+// and counting the reachable nodes ix does not own (foreign sealed
+// subtrees, which indexing skips) — the path for plain evaluation
+// indexes and Seal, and the from-scratch oracle the incremental
+// maintenance is tested against.
+func recount(ix *Index) (s *Stats, foreign int) {
+	s = &Stats{PerSym: make([]int32, ix.Syms.Len()), Gen: statsGen.Add(1)}
 	type frame struct {
 		n     *Node
 		depth int32
@@ -198,6 +151,9 @@ func recountStats(ix *Index) *Stats {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		n := f.n
+		if !ix.Contains(n) {
+			foreign++
+		}
 		s.Nodes++
 		s.Depth[depthBucket(f.depth)]++
 		s.Attrs += len(n.Attrs)
@@ -216,10 +172,13 @@ func recountStats(ix *Index) *Stats {
 			stack = append(stack, frame{n.Children[i], f.depth + 1})
 		}
 	}
-	return s
+	return s, foreign
 }
 
 // RecountStats computes the statistics by a full walk over the live
 // tree, bypassing the cached record — the oracle PathCopy's O(delta)
 // maintenance is verified against.
-func RecountStats(ix *Index) *Stats { return recountStats(ix) }
+func RecountStats(ix *Index) *Stats {
+	s, _ := recount(ix)
+	return s
+}

@@ -82,54 +82,9 @@ func TestPathCopyStatsOracle(t *testing.T) {
 	root, ix, _ := Freeze(doc, nil)
 	statsAgree(t, "initial", ix.Stats(), RecountStats(ix))
 
-	collect := func(n *Node) []*Node {
-		var all []*Node
-		stack := []*Node{n}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			all = append(all, x)
-			stack = append(stack, x.Children...)
-		}
-		return all
-	}
-
 	commits := 0
 	for i := 0; i < 80; i++ {
-		all := collect(root)
-		target := all[rng.Intn(len(all))]
-		if target == root {
-			continue
-		}
-		var out *Node
-		var hit bool
-		switch rng.Intn(4) {
-		case 0: // rename (elements only)
-			if target.Kind != Element {
-				continue
-			}
-			out = renameOut(t, root, target, "r"+string(rune('a'+rng.Intn(26))))
-			hit = true
-		case 1: // delete
-			out, hit = rebuild(root, target, func(*Node) *Node { return nil })
-		case 2: // insert a small fresh subtree as last child
-			if target.Kind == Text {
-				continue
-			}
-			out, hit = rebuild(root, target, func(n *Node) *Node {
-				cp := shallowCopy(n)
-				cp.Children = make([]*Node, len(n.Children), len(n.Children)+1)
-				copy(cp.Children, n.Children)
-				cp.Children = append(cp.Children, NewElement("ins", NewText("v")))
-				return cp
-			})
-		case 3: // replace with a fresh subtree carrying an attribute
-			out, hit = rebuild(root, target, func(*Node) *Node {
-				el := NewElement("repl", NewText("xyz"))
-				el.Attrs = []Attr{{Name: "k", Value: "v"}}
-				return el
-			})
-		}
+		out, hit := randomEdit(t, rng, root)
 		if !hit {
 			continue
 		}

@@ -151,7 +151,7 @@ func (e *Emitter) Node(n *Node) {
 
 // WriteXML serializes the subtree rooted at n to w as XML. Text is escaped;
 // no whitespace is introduced, so parsing the output yields a tree Equal to
-// n (see sax.Parse). Index.WriteXML emits the same format from the columns.
+// n (see sax.Parse).
 func (n *Node) WriteXML(w io.Writer) error {
 	e := NewEmitter(w)
 	e.Node(n)
