@@ -1,10 +1,12 @@
 package xtq
 
 // Benchmarks regenerating the paper's figures, one benchmark tree per
-// figure (see DESIGN.md's per-experiment index and EXPERIMENTS.md for the
-// expected shapes). The factors are scaled down from the paper's so that
-// `go test -bench=.` completes in minutes; `cmd/xbench` runs the
-// full-scale sweeps.
+// figure (§7: Fig. 12-15, plus the §7.1 NAIVE claim and the stacked-view
+// workloads). The factors are scaled down from the paper's so that
+//
+//	go test -run '^$' -bench 'Fig1[2-5]|NaiveQuadratic|ViewStacks' -benchmem
+//
+// completes in minutes; `-benchtime 1x` runs every sweep once.
 
 import (
 	"context"
@@ -16,7 +18,6 @@ import (
 
 	"xtq/internal/compose"
 	"xtq/internal/core"
-	"xtq/internal/harness"
 	"xtq/internal/queries"
 	"xtq/internal/sax"
 	"xtq/internal/saxeval"
@@ -196,7 +197,15 @@ func BenchmarkFig15(b *testing.B) {
 // sequentially materializing every layer.
 func BenchmarkViewStacks(b *testing.B) {
 	for _, s := range queries.Stacks() {
-		plan, err := harness.StackPlan(s)
+		layers := make([]*core.Compiled, len(s.Layers))
+		for i, q := range s.Layers {
+			c, err := q.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			layers[i] = c
+		}
+		plan, err := compose.NewPlan(layers, s.User)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -248,8 +257,7 @@ func BenchmarkNaiveQuadratic(b *testing.B) {
 }
 
 // BenchmarkAblationNoPrune quantifies the subtree-pruning design choice:
-// topDown with and without the empty-state-set shortcut (DESIGN.md,
-// ablation 1).
+// topDown with and without the empty-state-set shortcut.
 func BenchmarkAblationNoPrune(b *testing.B) {
 	c, err := queries.Compile(2) // highly selective: pruning matters most
 	if err != nil {
@@ -277,7 +285,7 @@ func BenchmarkAblationNoPrune(b *testing.B) {
 
 // BenchmarkQualifierStrategies compares GENTOP's direct qualifier
 // evaluation against TD-BU's annotated lookups on the complex-qualifier
-// queries (DESIGN.md, ablation 2).
+// queries.
 func BenchmarkQualifierStrategies(b *testing.B) {
 	for _, qi := range []int{7, 8} {
 		c, err := queries.Compile(qi)
@@ -468,7 +476,7 @@ func BenchmarkSealedSnapshotEval(b *testing.B) {
 // alternating //item rename workload of the store sweeps. The
 // copied-B/op metric is the per-commit copy volume: spine nodes and
 // their child slices, everything else shared with the previous version
-// (whole-tree copying cost ~2.1 MB/op here, see BENCH_PR5.json).
+// (a whole-tree copy costs what the initial Put reports as CopiedBytes).
 func BenchmarkPathCopyCommit(b *testing.B) {
 	doc := benchDoc(b, 0.01)
 	ctx := context.Background()

@@ -1,6 +1,6 @@
-// Command xmarkgen generates XMark-like auction documents for the
-// benchmark harness (the substitute for the original xmlgen binary, see
-// DESIGN.md).
+// Command xmarkgen generates XMark-like auction documents (the
+// substitute for the original XMark xmlgen binary), e.g. large inputs
+// for streaming evaluation with `xtq -method sax`.
 //
 // Usage:
 //

@@ -80,6 +80,11 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err := validateMethod(*method); err != nil {
 		return err
 	}
+	if *method == methodSAX && *indent {
+		// The streaming evaluator writes events as they arrive; there is
+		// no tree to pretty-print, so reject -indent rather than ignore it.
+		return fmt.Errorf("-method sax streams its output; -indent does not apply")
+	}
 	var userQuery *xtq.UserQuery
 	if *user != "" {
 		// Composition always runs the single-pass Compose Method of §4;

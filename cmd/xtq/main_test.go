@@ -140,6 +140,23 @@ func TestUserQueryValidatedBeforeInput(t *testing.T) {
 	}
 }
 
+// TestSAXIndentRejectedBeforeInput: the streaming evaluator cannot
+// pretty-print, so -method sax -indent is refused up front (the input
+// path does not exist) instead of printing one line and exiting 0.
+func TestSAXIndentRejectedBeforeInput(t *testing.T) {
+	var sb strings.Builder
+	err := run(context.Background(), []string{
+		"-in", t.TempDir() + "/never-created.xml",
+		"-query", `transform copy $a := doc("d") modify do delete $a//price return $a`,
+		"-method", "sax", "-indent"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "-indent does not apply") {
+		t.Errorf("sax+indent combination not rejected: %v", err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("rejected run wrote output: %q", sb.String())
+	}
+}
+
 // TestMethodValidatedBeforeInput asserts that a bad -method is rejected
 // up front: the input path does not exist, so reaching the parser would
 // produce a file error instead of the method error.

@@ -258,8 +258,8 @@ func (e *Engine) PrepareContext(ctx context.Context, src string) (*Prepared, err
 // PrepareQuery compiles an already-parsed query, caching by its canonical
 // rendering. The cached compiled form is re-parsed from that rendering
 // rather than aliasing q, so the caller remains free to mutate q between
-// calls (the contract of the pre-Engine API this backs): a later
-// mutation changes the rendering and simply keys a different entry.
+// calls: a later mutation changes the rendering and simply keys a
+// different entry.
 func (e *Engine) PrepareQuery(q *Query) (*Prepared, error) {
 	if err := e.validateMethod(); err != nil {
 		return nil, err

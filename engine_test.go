@@ -68,14 +68,15 @@ func TestEngineCacheHitsAndEviction(t *testing.T) {
 // goroutines across all three entry points; run with -race this asserts
 // the goroutine-safety claim of the API.
 func TestPreparedConcurrent(t *testing.T) {
+	const src = `transform copy $a := doc("d") modify do delete $a//price return $a`
 	eng := NewEngine(WithMethod(MethodTwoPass))
-	p := mustPrepare(t, eng, `transform copy $a := doc("d") modify do delete $a//price return $a`)
+	p := mustPrepare(t, eng, src)
 	doc, err := GenerateXMark(XMarkConfig{Factor: 0.002, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xml := []byte(doc.String())
-	user, err := ParseUserQuery(`for $x in /site/regions//item return $x/name`)
+	view, err := eng.View(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +97,13 @@ func TestPreparedConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("EvalStream: %w", err)
 					return
 				}
-				comp, err := p.Compose(user)
+				pv, err := view.Prepare(`for $x in /site/regions//item return $x/name`)
 				if err != nil {
-					errs <- fmt.Errorf("Compose: %w", err)
+					errs <- fmt.Errorf("View.Prepare: %w", err)
 					return
 				}
-				if _, err := comp.EvalContext(ctx, doc); err != nil {
-					errs <- fmt.Errorf("Composed.Eval: %w", err)
+				if _, _, err := pv.Eval(ctx, doc); err != nil {
+					errs <- fmt.Errorf("PreparedView.Eval: %w", err)
 					return
 				}
 			}
@@ -282,44 +283,16 @@ func TestEngineMaxDepth(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappers keeps the legacy package-level functions honest:
-// they share the default engine and still produce correct results.
-func TestDeprecatedWrappers(t *testing.T) {
-	doc, err := ParseString(`<db><part><price>9</price><sname>D</sname></part></db>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := ParseQuery(`transform copy $a := doc("d") modify do delete $a//price return $a`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := Transform(doc, q, MethodNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out.String(), "<price>") {
-		t.Error("Transform wrapper: price not deleted")
-	}
-	// Repeat calls hit the default engine's cache.
-	h0, _, _ := defaultEngine.CacheStats()
-	if _, err := Transform(doc, q, MethodTopDown); err != nil {
-		t.Fatal(err)
-	}
-	h1, _, _ := defaultEngine.CacheStats()
-	if h1 <= h0 {
-		t.Errorf("Transform wrapper bypassed the default engine cache (hits %d -> %d)", h0, h1)
-	}
-}
-
 func writeFile(path, content string) error {
 	return os.WriteFile(path, []byte(content), 0o644)
 }
 
-// TestWrapperDocArgRoundTrip: the deprecated wrappers route through the
-// engine cache keyed by Query.String(), so queries whose doc() argument
-// contains a quote character must render back into parseable surface
-// syntax.
+// TestWrapperDocArgRoundTrip: Engine.PrepareQuery caches by
+// Query.String(), so queries whose doc() argument contains a quote
+// character must render back into parseable surface syntax.
 func TestWrapperDocArgRoundTrip(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine()
 	doc, err := ParseString(`<db><part><price>9</price></part></db>`)
 	if err != nil {
 		t.Fatal(err)
@@ -328,18 +301,34 @@ func TestWrapperDocArgRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Transform(doc, q, MethodTopDown)
+	p, err := eng.PrepareQuery(q)
 	if err != nil {
-		t.Fatalf("Transform with quoted doc arg: %v", err)
+		t.Fatalf("PrepareQuery with quoted doc arg: %v", err)
+	}
+	out, err := p.Eval(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if strings.Contains(out.String(), "<price>") {
 		t.Error("price not deleted")
 	}
+	// Repeat calls hit the engine's cache.
+	h0, _, _ := eng.CacheStats()
+	if _, err := eng.PrepareQuery(q); err != nil {
+		t.Fatal(err)
+	}
+	if h1, _, _ := eng.CacheStats(); h1 <= h0 {
+		t.Errorf("PrepareQuery bypassed the engine cache (hits %d -> %d)", h0, h1)
+	}
 	// Both quote kinds in the argument: not expressible in surface
 	// syntax, so the engine must bypass the cache rather than fail.
 	q2 := &Query{Var: "a", Doc: `x"y'z`, Update: q.Update}
-	if _, err := Transform(doc, q2, MethodTopDown); err != nil {
-		t.Fatalf("Transform with unrenderable doc arg: %v", err)
+	p2, err := eng.PrepareQuery(q2)
+	if err != nil {
+		t.Fatalf("PrepareQuery with unrenderable doc arg: %v", err)
+	}
+	if _, err := p2.Eval(ctx, doc); err != nil {
+		t.Fatalf("Eval with unrenderable doc arg: %v", err)
 	}
 }
 
@@ -348,8 +337,11 @@ func TestWrapperDocArgRoundTrip(t *testing.T) {
 // navigation poll.
 func TestComposePreCancelled(t *testing.T) {
 	eng := NewEngine()
-	p := mustPrepare(t, eng, `transform copy $a := doc("d") modify do delete $a//price return $a`)
-	user, err := ParseUserQuery(`for $x in /db/part return $x/pname`)
+	view, err := eng.View(`transform copy $a := doc("d") modify do delete $a//price return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, err := view.Prepare(`for $x in /db/part return $x/pname`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,19 +353,11 @@ func TestComposePreCancelled(t *testing.T) {
 	cancel()
 	for name, run := range map[string]func() error{
 		"compose": func() error {
-			c, err := p.Compose(user)
-			if err != nil {
-				return err
-			}
-			_, err = c.EvalContext(ctx, doc)
+			_, _, err := pv.Eval(ctx, doc)
 			return err
 		},
 		"naive": func() error {
-			c, err := p.NaiveCompose(user)
-			if err != nil {
-				return err
-			}
-			_, err = c.EvalContext(ctx, doc)
+			_, err := pv.EvalSequential(ctx, doc)
 			return err
 		},
 	} {

@@ -1,6 +1,7 @@
 package compose
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -66,19 +67,29 @@ func reference(t *testing.T, qt *core.Compiled, q *xquery.UserQuery, doc *tree.N
 	return res
 }
 
-// checkAll verifies Composed and NaiveComposition against the reference.
+// plan1 builds the single-layer composition plan of qt and q.
+func plan1(t *testing.T, qt *core.Compiled, q *xquery.UserQuery) *Plan {
+	t.Helper()
+	p, err := NewPlan([]*core.Compiled{qt}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// checkAll verifies the single-pass Plan.Eval (the Compose Method) and
+// Plan.EvalSequential (the Naive Composition Method, transform evaluated
+// with topDown) against the reference.
 func checkAll(t *testing.T, qtSrc, qSrc, docXML string) *tree.Node {
 	t.Helper()
 	doc := parseDoc(t, docXML)
 	qt := compileT(t, qtSrc)
 	q := xquery.MustParse(qSrc)
 	want := reference(t, qt, q, doc)
+	ctx := context.Background()
 
-	comp, err := New(qt, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := comp.Eval(doc)
+	p := plan1(t, qt, q)
+	got, _, err := p.Eval(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,16 +97,12 @@ func checkAll(t *testing.T, qtSrc, qSrc, docXML string) *tree.Node {
 		t.Fatalf("Compose disagrees with reference:\n Qt: %s\n Q:  %s\n got  %s\n want %s",
 			qtSrc, qSrc, got, want)
 	}
-	naive, err := NewNaive(qt, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ngot, err := naive.Eval(doc)
+	ngot, err := p.EvalSequential(ctx, doc, core.MethodTopDown)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !tree.Equal(ngot, want) {
-		t.Fatalf("NaiveComposition disagrees with reference:\n got %s\nwant %s", ngot, want)
+		t.Fatalf("Naive Composition disagrees with reference:\n got %s\nwant %s", ngot, want)
 	}
 	return got
 }
@@ -233,11 +240,7 @@ func TestPaperPairU9U1Disjoint(t *testing.T) {
 	doc := parseDoc(t, site)
 	qt := compileT(t, `transform copy $a := doc("f") modify do delete $a/site/regions//item[location = "United States"] return $a`)
 	q := xquery.MustParse(`for $x in /site/people/person return $x`)
-	comp, err := New(qt, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := comp.Eval(doc)
+	got, vs, err := plan1(t, qt, q).Eval(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +248,8 @@ func TestPaperPairU9U1Disjoint(t *testing.T) {
 	if !tree.Equal(got, want) {
 		t.Fatalf("disjoint composition wrong:\n got %s\nwant %s", got, want)
 	}
-	if comp.LastStats.Materialized != 0 {
-		t.Errorf("disjoint composition materialized %d nodes", comp.LastStats.Materialized)
+	if vs.Materialized != 0 {
+		t.Errorf("disjoint composition materialized %d nodes", vs.Materialized)
 	}
 }
 
@@ -283,9 +286,10 @@ func TestTemplateReturn(t *testing.T) {
 		site)
 }
 
-// Property: Compose ≡ NaiveComposition ≡ Q(Qt(T)) on random documents,
-// random transform paths and random user queries.
+// Property: Plan.Eval ≡ Plan.EvalSequential ≡ Q(Qt(T)) on random
+// documents, random transform paths and random user queries.
 func TestComposeAgreesRandom(t *testing.T) {
+	ctx := context.Background()
 	genOpts := tree.DefaultGenOptions()
 	cfg := xpath.DefaultGenConfig()
 	elem := tree.NewElement("b", tree.NewText("1"))
@@ -330,12 +334,12 @@ func TestComposeAgreesRandom(t *testing.T) {
 		if q.Validate() != nil {
 			continue
 		}
-		comp, err := New(qt, q)
+		p, err := NewPlan([]*core.Compiled{qt}, q)
 		if err != nil {
 			continue
 		}
 		checked++
-		got, err := comp.Eval(d)
+		got, _, err := p.Eval(ctx, d)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -351,11 +355,7 @@ func TestComposeAgreesRandom(t *testing.T) {
 			t.Fatalf("seed %d: compose mismatch\n Qt: %s\n Q: %s\n doc: %s\n got %s\nwant %s",
 				seed, u.String("$a"), q, d, got, want)
 		}
-		naive, err := NewNaive(qt, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ngot, err := naive.Eval(d)
+		ngot, err := p.EvalSequential(ctx, d, core.MethodTopDown)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,8 +372,7 @@ func TestXQueryTextShapes(t *testing.T) {
 	// Q1c shape: conditional delete.
 	qt := compileT(t, `transform copy $r := doc("f") modify do delete $r/a/b[q] return $r`)
 	q := xquery.MustParse(`for $x in /a/b/c return $x`)
-	comp, _ := New(qt, q)
-	txt := comp.XQueryText()
+	txt := XQueryText(qt, q)
 	for _, want := range []string{"for $y1 in /a", "for $y2 in $y1/b", "if empty($y2[q])", "else ( )"} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("Q1c text missing %q:\n%s", want, txt)
@@ -382,46 +381,31 @@ func TestXQueryTextShapes(t *testing.T) {
 	// Q2c shape: unconditional delete folds the rest away.
 	qt2 := compileT(t, `transform copy $r := doc("f") modify do delete $r/a/b/c return $r`)
 	q2 := xquery.MustParse(`for $x in /a/b/c/d return $x`)
-	comp2, _ := New(qt2, q2)
-	txt2 := comp2.XQueryText()
+	txt2 := XQueryText(qt2, q2)
 	if !strings.Contains(txt2, "( )") {
 		t.Errorf("Q2c text should fold to the empty sequence:\n%s", txt2)
 	}
 	// Q3c shape: insert with // needs the topDown user function.
 	qt3 := compileT(t, `transform copy $r := doc("f") modify do insert <e/> into $r/a//c return $r`)
 	q3 := xquery.MustParse(`for $x in /a/b return $x`)
-	comp3, _ := New(qt3, q3)
-	txt3 := comp3.XQueryText()
+	txt3 := XQueryText(qt3, q3)
 	if !strings.Contains(txt3, "topDown(") {
 		t.Errorf("Q3c text missing topDown call:\n%s", txt3)
 	}
-	// Naive composition text shows the sequential let.
-	naive, _ := NewNaive(qt3, q3)
-	ntxt := naive.XQueryText()
-	for _, want := range []string{"let $n := transform", "for $x in $n/a/b"} {
-		if !strings.Contains(ntxt, want) {
-			t.Errorf("naive text missing %q:\n%s", want, ntxt)
-		}
-	}
 }
 
+// TestNewValidation: a single-layer plan rejects a nil transform, a nil
+// or invalid user query, and identifies itself.
 func TestNewValidation(t *testing.T) {
 	qt := compileT(t, `transform copy $r := doc("f") modify do delete $r/a return $r`)
-	if _, err := New(nil, nil); err == nil {
+	if _, err := NewPlan([]*core.Compiled{nil}, nil); err == nil {
 		t.Errorf("nil inputs accepted")
 	}
-	if _, err := New(qt, &xquery.UserQuery{}); err == nil {
+	if _, err := NewPlan([]*core.Compiled{qt}, &xquery.UserQuery{}); err == nil {
 		t.Errorf("invalid user query accepted")
 	}
-	if _, err := NewNaive(nil, nil); err == nil {
-		t.Errorf("nil inputs accepted by NewNaive")
-	}
-	q := xquery.MustParse(`for $x in /a return $x`)
-	comp, err := New(qt, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.String() == "" {
+	p := plan1(t, qt, xquery.MustParse(`for $x in /a return $x`))
+	if p.String() == "" {
 		t.Errorf("empty String()")
 	}
 }

@@ -1,3 +1,42 @@
+// Package compose implements §4 of Fan, Cong & Bohannon (SIGMOD 2007):
+// composing a user query Q with a transform query Qt into a single query
+// Qc with Qc(T) = Q(Qt(T)), evaluated in one pass over the input document
+// without materializing Qt(T) — generalized here to *stacks* of transform
+// queries, so a security view defined over a virtual update over a
+// hypothetical state evaluates in the same single pass.
+//
+// The Compose Method treats the user query's path expressions as "words"
+// fed to the selecting NFA Mp of each transform query: while Q navigates
+// T, the evaluator carries one Mp state set per layer alongside every
+// context node and applies each embedded update's effect exactly where Q
+// looks —
+//
+//   - a node whose transition enters a layer's final state under a delete
+//     is skipped (it does not exist in that layer's output; the
+//     "if empty($y[q]) … else ()" conditional of example Q1c);
+//   - under an insert, the constant element e appears as a virtual last
+//     child of matched nodes and is navigated — and transformed by the
+//     layers above — like any other child;
+//   - under replace/rename the matched node is seen as the constant
+//     element / under its new label, and the relabeled node is what the
+//     next layer's automaton consumes;
+//   - subtrees returned by the query are materialized on demand by one
+//     walk that applies every remaining layer (the paper's embedded
+//     topDown() user function), sharing everything no update can touch;
+//   - as soon as every layer's state set dies (the user query navigates
+//     where all updates are "disjoint", §4), the evaluator drops into
+//     plain navigation with zero overhead.
+//
+// The entry point is Plan: an immutable composition plan whose Eval
+// creates all per-run state afresh, so one Plan serves any number of
+// goroutines. Plan.EvalSequential is the Naive Composition Method, the
+// baseline the single pass is measured against.
+//
+// The paper presents this rewriting as XQuery source text; XQueryText
+// renders that form for one transform layer, while Eval executes the
+// identical plan directly. Both follow the same state discipline, so the
+// measured behaviour (single pass, no copying, disjointness pruning) is
+// the algorithm's.
 package compose
 
 import (

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"xtq/internal/core"
+	"xtq/internal/queries"
 	"xtq/internal/tree"
+	"xtq/internal/xmark"
 	"xtq/internal/xpath"
 	"xtq/internal/xquery"
 )
@@ -223,6 +225,81 @@ func TestStatsAreValueSnapshots(t *testing.T) {
 	}
 	if first.NodesVisited != second.NodesVisited || first.Materialized != second.Materialized {
 		t.Errorf("stats accumulated across runs: first %+v second %+v", first.Stats, second.Stats)
+	}
+}
+
+// stackPlan compiles one stacked-view workload into a composition plan.
+func stackPlan(t *testing.T, s queries.Stack) *Plan {
+	t.Helper()
+	layers := make([]*core.Compiled, len(s.Layers))
+	for i, q := range s.Layers {
+		c, err := q.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		layers[i] = c
+	}
+	p, err := NewPlan(layers, s.User)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// intermediateSize sequentially materializes every layer of the plan and
+// returns the total node count of the intermediate (and final) views —
+// the trees the naive method builds and the single-pass method avoids.
+func intermediateSize(t *testing.T, p *Plan, doc *tree.Node) int {
+	t.Helper()
+	total := 0
+	cur := doc
+	for i := 0; i < p.NumLayers(); i++ {
+		var err error
+		cur, err = p.Layer(i).EvalContext(context.Background(), cur, core.MethodTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += cur.Size()
+	}
+	return total
+}
+
+// TestStackedViewMaterializesLessThanIntermediates pins the stacked-view
+// acceptance claim: a 2+-layer stack evaluates in a single pass, with
+// the run's Materialized count staying below the total size of the
+// intermediate views the sequential method builds — and with results
+// identical to sequential materialization.
+func TestStackedViewMaterializesLessThanIntermediates(t *testing.T) {
+	ctx := context.Background()
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.004, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range queries.Stacks() {
+		p := stackPlan(t, s)
+		if p.NumLayers() < 2 {
+			t.Fatalf("%s: stack has %d layers, want 2+", s.Name, p.NumLayers())
+		}
+		got, vs, err := p.Eval(ctx, doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := p.EvalSequential(ctx, doc, core.MethodTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tree.Equal(got, want) {
+			t.Errorf("%s: single pass disagrees with sequential materialization", s.Name)
+		}
+		if inter := intermediateSize(t, p, doc); vs.Materialized >= inter {
+			t.Errorf("%s: Materialized = %d, not below intermediate size %d",
+				s.Name, vs.Materialized, inter)
+		}
+		for i, ls := range vs.Layers {
+			if ls.NodesVisited == 0 {
+				t.Errorf("%s: layer %d reports no visited nodes", s.Name, i)
+			}
+		}
 	}
 }
 

@@ -69,17 +69,18 @@ func addWithEps(m *automaton.NFA, set automaton.StateSet, id int) {
 	}
 }
 
-// XQueryText renders the composed query Qc in standard XQuery following
-// the paper's rewriting. The text tracks the static (may-)state sets Si;
-// qualifier outcomes that are only known at runtime appear as the
-// conditionals of the printed query, exactly as in examples Q1c-Q3c.
-func (c *Composed) XQueryText() string {
-	m := c.Transform.NFA
-	u := &c.Transform.Query.Update
+// XQueryText renders the composition Qc of the transform query qt and the
+// user query q in standard XQuery following the paper's rewriting. The
+// text tracks the static (may-)state sets Si; qualifier outcomes that are
+// only known at runtime appear as the conditionals of the printed query,
+// exactly as in examples Q1c-Q3c.
+func XQueryText(qt *core.Compiled, q *xquery.UserQuery) string {
+	m := qt.NFA
+	u := &qt.Query.Update
 	var b strings.Builder
 	b.WriteString("<result> {\n")
 	s := m.InitialSet()
-	steps := c.User.Path.Steps
+	steps := q.Path.Steps
 	indent := ""
 
 	i := 0
@@ -113,8 +114,8 @@ func (c *Composed) XQueryText() string {
 			if state.Final {
 				finalEntered = true
 			}
-			for _, q := range state.Quals {
-				conds = append(conds, q.String())
+			for _, ql := range state.Quals {
+				conds = append(conds, ql.String())
 			}
 		}
 		cond := strings.Join(conds, " and ")
@@ -144,16 +145,16 @@ func (c *Composed) XQueryText() string {
 	}
 
 	fmt.Fprintf(&b, "%slet $x := $%s\n", indent, prev)
-	if len(c.User.Conds) > 0 {
+	if len(q.Conds) > 0 {
 		var cs []string
-		for _, cond := range c.User.Conds {
+		for _, cond := range q.Conds {
 			cs = append(cs, cond.String("x"))
 		}
 		fmt.Fprintf(&b, "%swhere %s\n", indent, strings.Join(cs, " and "))
 	}
-	ret := renderReturn(c.User, s.Empty())
+	ret := renderReturn(q, s.Empty())
 	fmt.Fprintf(&b, "%sreturn %s\n", indent, ret)
-	if d, ok := c.User.Return.(*xquery.Hole); ok && !s.Empty() && !d.Operand.IsConst {
+	if d, ok := q.Return.(*xquery.Hole); ok && !s.Empty() && !d.Operand.IsConst {
 		fmt.Fprintf(&b, "%s(: topDown(Mp, S=%v, Qt, ·) is the user-defined function of Fig. 3 :)\n",
 			indent, s.IDs())
 	}
@@ -189,9 +190,10 @@ func renderReturn(q *xquery.UserQuery, disjoint bool) string {
 		}
 		return fmt.Sprintf("topDown(Mp, S, Qt, %s)", op)
 	default:
+		const kw = " return "
 		full := q.String()
-		if idx := lastReturn(full); idx >= 0 {
-			return strings.TrimSpace(full[idx+len(" return "):])
+		if idx := strings.LastIndex(full, kw); idx >= 0 {
+			return strings.TrimSpace(full[idx+len(kw):])
 		}
 		return full
 	}

@@ -71,12 +71,13 @@ func (randomComposition) Generate(r *rand.Rand, _ int) reflect.Value {
 // Property: the Compose Method, the Naive Composition and the literal
 // Q(Qt(T)) reference agree on arbitrary inputs.
 func TestQuickCompositionEquivalence(t *testing.T) {
+	ctx := context.Background()
 	prop := func(tc randomComposition) bool {
-		comp, err := New(tc.Qt, tc.User)
+		p, err := NewPlan([]*core.Compiled{tc.Qt}, tc.User)
 		if err != nil {
 			return false
 		}
-		got, err := comp.Eval(tc.Doc)
+		got, _, err := p.Eval(ctx, tc.Doc)
 		if err != nil {
 			return false
 		}
@@ -91,11 +92,7 @@ func TestQuickCompositionEquivalence(t *testing.T) {
 		if !tree.Equal(got, want) {
 			return false
 		}
-		naive, err := NewNaive(tc.Qt, tc.User)
-		if err != nil {
-			return false
-		}
-		ngot, err := naive.Eval(tc.Doc)
+		ngot, err := p.EvalSequential(ctx, tc.Doc, core.MethodTopDown)
 		if err != nil {
 			return false
 		}
@@ -225,14 +222,15 @@ func TestQuickDisjointNoMaterialization(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		comp, err := New(qt, tc.User)
+		p, err := NewPlan([]*core.Compiled{qt}, tc.User)
 		if err != nil {
 			return false
 		}
-		if _, err := comp.Eval(tc.Doc); err != nil {
+		_, vs, err := p.Eval(context.Background(), tc.Doc)
+		if err != nil {
 			return false
 		}
-		return comp.LastStats.Materialized == 0
+		return vs.Materialized == 0
 	}
 	cfg := &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(32))}
 	if err := quick.Check(prop, cfg); err != nil {

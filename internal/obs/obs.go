@@ -16,9 +16,9 @@
 //
 // Subsystems register their instruments on the Default registry at
 // package init and increment them unconditionally; SetEnabled(false)
-// turns every counter add and histogram observation into a no-op (the
-// xbench -obs sweep measures exactly this delta). Gauges ignore the
-// kill switch: their Inc/Dec pairs must stay balanced across a toggle.
+// turns every counter add and histogram observation into a no-op.
+// Gauges ignore the kill switch: their Inc/Dec pairs must stay balanced
+// across a toggle.
 package obs
 
 import (

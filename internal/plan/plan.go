@@ -17,7 +17,7 @@
 // arbitrates differ by whole document passes, not by percents. The
 // acceptance bar (Auto within 25% of the best static method, estimated
 // visits within 10x of actual) is enforced by the planner property
-// tests and the xbench -plansmoke gate.
+// tests (TestPlannerProperty in the root package).
 package plan
 
 import (
@@ -30,8 +30,8 @@ import (
 )
 
 // Model constants: per-visit cost weights relative to one guided
-// top-down visit, calibrated against the committed XMark sweeps
-// (BENCH_PR3.json): topdown beats twopass on every measured
+// top-down visit, calibrated against the XMark method sweeps
+// (go test -bench 'Fig1[23]'): topdown beats twopass on every measured
 // (query, factor) cell — the bottom-up pass evaluates the QualDP
 // recurrence at every node, which is worth roughly 1.6 plain visits —
 // and naive and copyupdate trail by whole passes.

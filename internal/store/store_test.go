@@ -10,6 +10,7 @@ import (
 	"xtq/internal/sax"
 	"xtq/internal/tree"
 	"xtq/internal/xerr"
+	"xtq/internal/xmark"
 )
 
 const partsXML = `<db>` +
@@ -166,6 +167,45 @@ func TestApplyCommitsNewVersion(t *testing.T) {
 		if comN.CopiedNodes != 0 || snapN.Root() != snap.Root() {
 			t.Fatalf("%s: no-op commit copied the tree (%d nodes)", m, comN.CopiedNodes)
 		}
+	}
+
+	// Copy tax: on an XMark document, commits alternating the rename of
+	// every /site/regions//item to item_ and back copy the touched spines
+	// only, a small fraction of what freezing the whole tree copies
+	// (adopt=false makes Put report that full-copy cost). A whole-tree
+	// copy per commit would read ~100 %.
+	xdoc, err := xmark.Generate(xmark.Config{Factor: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, put, err := st.Put("xmark", xdoc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if put.CopiedBytes <= 0 {
+		t.Fatalf("Put reported %d copied bytes; cannot size the document", put.CopiedBytes)
+	}
+	renames := []*core.Compiled{
+		compile(t, `transform copy $a := doc("xmark") modify do rename $a/site/regions//item as item_ return $a`),
+		compile(t, `transform copy $a := doc("xmark") modify do rename $a/site/regions//item_ as item return $a`),
+	}
+	const commits = 20
+	var copied int64
+	for i := 0; i < commits; i++ {
+		_, com, err := st.Apply(ctx, "xmark", renames[i%2], core.MethodTopDown)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if com.CopiedNodes == 0 {
+			t.Fatalf("commit %d copied nothing: the rename did not apply", i)
+		}
+		copied += com.CopiedBytes
+	}
+	frac := float64(copied) / commits / float64(put.CopiedBytes)
+	t.Logf("copy tax: %.0f B/commit over a %d B frozen document (%.1f%%)",
+		float64(copied)/commits, put.CopiedBytes, 100*frac)
+	if frac >= 0.10 {
+		t.Errorf("copy tax %.1f%% of the frozen document per commit, want < 10%%", 100*frac)
 	}
 }
 

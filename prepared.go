@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"xtq/internal/compose"
 	"xtq/internal/core"
 	"xtq/internal/obs"
 	"xtq/internal/plan"
@@ -149,36 +148,4 @@ func (p *Prepared) EvalStream(ctx context.Context, src Source, sink Sink) (Strea
 		return res, classify(err, KindIO)
 	}
 	return res, nil
-}
-
-// Compose builds the single-pass composition Qc with Qc(T) = Q(Qt(T))
-// (§4): user queries answered over the virtual output of the transform
-// query without materializing it. Each call returns a fresh Composed
-// (they record per-run statistics and must not be shared between
-// goroutines); the compiled transform inside is shared.
-//
-// Deprecated: use Engine.View and View.Prepare — the resulting
-// PreparedView is goroutine-safe, returns its statistics by value,
-// accepts any Source, supports stacks of transform layers, and is cached
-// on the engine.
-func (p *Prepared) Compose(q *UserQuery) (*Composed, error) {
-	c, err := compose.New(p.compiled, q)
-	if err != nil {
-		return nil, classify(err, KindCompile)
-	}
-	return c, nil
-}
-
-// NaiveCompose builds the sequential composition of §4's Naive
-// Composition Method: materialize the transform result, then run the
-// user query. It exists as the baseline Compose is measured against.
-//
-// Deprecated: use Engine.View and PreparedView.EvalSequential, the same
-// baseline generalized to stacks.
-func (p *Prepared) NaiveCompose(q *UserQuery) (*NaiveComposition, error) {
-	c, err := compose.NewNaive(p.compiled, q)
-	if err != nil {
-		return nil, classify(err, KindCompile)
-	}
-	return c, nil
 }

@@ -120,11 +120,12 @@ func TestStorePutDoesNotAliasCallerTree(t *testing.T) {
 		t.Fatal("caller tree was adopted, not copied")
 	}
 	// The caller's tree still takes in-place updates (it is not sealed).
-	q, err := xtq.ParseQuery(`transform copy $a := doc("d") modify do delete $a//price return $a`)
+	p, err := xtq.NewEngine(xtq.WithMethod(xtq.MethodCopyUpdate)).Prepare(
+		`transform copy $a := doc("d") modify do delete $a//price return $a`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := xtq.Transform(doc, q, xtq.MethodCopyUpdate); err != nil {
+	if _, err := p.Eval(ctx, doc); err != nil {
 		t.Fatal(err)
 	}
 

@@ -81,12 +81,8 @@
 //   - composition of user queries with stacks of transform queries
 //     (Engine.View, §4), the basis for querying hypothetical states,
 //     virtual updated views and security views without materializing them;
-//   - the XMark-like workload generator and the experiment harness that
-//     regenerate the paper's Figures 11-15 (see cmd/xbench).
-//
-// The package-level Transform, TransformStream and Compose functions
-// predate the Engine API; they are kept as deprecated wrappers over a
-// default engine so existing callers keep working.
+//   - the XMark-like workload generator behind the root benchmarks that
+//     regenerate the paper's Figures 12-15 (go test -bench 'Fig1[2-5]').
 //
 // All types are aliases of the implementation packages under internal/,
 // so values flow freely between this facade and the benchmarks.
@@ -96,7 +92,6 @@ import (
 	"context"
 	"io"
 
-	"xtq/internal/compose"
 	"xtq/internal/core"
 	"xtq/internal/sax"
 	"xtq/internal/saxeval"
@@ -153,19 +148,6 @@ func ParseMethod(s string) (Method, error) { return core.ParseMethod(s) }
 // UserQuery is a for/where/return query in the restricted form of §4.
 type UserQuery = xquery.UserQuery
 
-// Composed is the single-pass composition of a user query with a
-// transform query (the Compose Method of §4).
-//
-// Deprecated: use Engine.View and View.Prepare; the resulting
-// PreparedView is goroutine-safe, supports stacked transforms, and
-// returns statistics by value.
-type Composed = compose.Composed
-
-// NaiveComposition evaluates the transform and user queries sequentially.
-//
-// Deprecated: use PreparedView.EvalSequential.
-type NaiveComposition = compose.NaiveComposition
-
 // Path is a parsed expression of the XPath fragment X.
 type Path = xpath.Path
 
@@ -190,6 +172,10 @@ func ParseString(s string) (*Node, error) {
 	}
 	return n, nil
 }
+
+// defaultEngine backs ParseFile, which has no engine of its own to
+// take parse options from.
+var defaultEngine = NewEngine()
 
 // ParseFile parses the XML document in the named file.
 func ParseFile(path string) (*Node, error) {
@@ -225,69 +211,8 @@ func ParseUserQuery(src string) (*UserQuery, error) {
 	return q, nil
 }
 
-// defaultEngine backs the deprecated package-level functions, so legacy
-// callers share one compiled-query cache.
-var defaultEngine = NewEngine()
-
-// Transform evaluates q over doc with the chosen method and returns the
-// transformed document. The input document is never modified; depending on
-// the method the result may share unmodified subtrees with it.
-//
-// Deprecated: Transform re-renders and re-looks-up q on every call. Use
-// Engine.Prepare (or Engine.PrepareQuery) once and Prepared.Eval per
-// document for cancellation support and compile amortization.
-func Transform(doc *Node, q *Query, m Method) (*Node, error) {
-	p, err := defaultEngine.PrepareQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return p.evalMethod(context.Background(), doc, m)
-}
-
-// StreamSource provides repeatable reads for TransformStream.
-//
-// Deprecated: use Source, its replacement name.
-type StreamSource = saxeval.Source
-
 // StreamResult reports per-pass statistics of a streaming evaluation.
 type StreamResult = saxeval.Result
-
-// TransformStream evaluates q over src with the twoPassSAX algorithm
-// (§6), writing the resulting document to w as XML. Memory use is bounded
-// by the document depth, independent of its size.
-//
-// Deprecated: use Engine.Prepare once and Prepared.EvalStream per
-// document, which adds context cancellation and sink flexibility.
-func TransformStream(q *Query, src Source, w io.Writer) (StreamResult, error) {
-	p, err := defaultEngine.PrepareQuery(q)
-	if err != nil {
-		return StreamResult{}, err
-	}
-	return p.EvalStream(context.Background(), src, ToWriter(w))
-}
-
-// Compose builds the single-pass composition Qc with Qc(T) = Q(Qt(T)).
-//
-// Deprecated: use Engine.Prepare once and Prepared.Compose.
-func Compose(qt *Query, q *UserQuery) (*Composed, error) {
-	p, err := defaultEngine.PrepareQuery(qt)
-	if err != nil {
-		return nil, err
-	}
-	return p.Compose(q)
-}
-
-// NaiveCompose builds the sequential composition of §4's Naive
-// Composition Method.
-//
-// Deprecated: use Engine.Prepare once and Prepared.NaiveCompose.
-func NaiveCompose(qt *Query, q *UserQuery) (*NaiveComposition, error) {
-	p, err := defaultEngine.PrepareQuery(qt)
-	if err != nil {
-		return nil, err
-	}
-	return p.NaiveCompose(q)
-}
 
 // XMarkConfig parameterizes the workload generator.
 type XMarkConfig = xmark.Config

@@ -1,6 +1,7 @@
 package xtq
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -36,7 +37,11 @@ func TestQuickstartFlow(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range Methods() {
-		view, err := Transform(doc, q, m)
+		p, err := NewEngine(WithMethod(m)).PrepareQuery(q)
+		if err != nil {
+			t.Fatalf("%s: %v", m, err)
+		}
+		view, err := p.Eval(context.Background(), doc)
 		if err != nil {
 			t.Fatalf("%s: %v", m, err)
 		}
@@ -50,12 +55,13 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestTransformStreamFlow(t *testing.T) {
-	q, err := ParseQuery(`transform copy $a := doc("parts") modify do delete $a//price return $a`)
+	eng := NewEngine()
+	p, err := eng.Prepare(`transform copy $a := doc("parts") modify do delete $a//price return $a`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	res, err := TransformStream(q, BytesSource(partsDoc), &sb)
+	res, err := p.EvalStream(context.Background(), BytesSource(partsDoc), ToWriter(&sb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,38 +75,31 @@ func TestTransformStreamFlow(t *testing.T) {
 	if countLabel(out, "price") != 0 {
 		t.Errorf("prices remain in stream output")
 	}
-	bad := &Query{}
-	if _, err := TransformStream(bad, BytesSource(partsDoc), &sb); err == nil {
+	if _, err := eng.PrepareQuery(&Query{}); err == nil {
 		t.Errorf("invalid query accepted")
 	}
 }
 
 func TestComposeFlow(t *testing.T) {
+	ctx := context.Background()
 	doc, err := ParseString(partsDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	qt, err := ParseQuery(`transform copy $a := doc("parts") modify do delete $a//supplier[country = "A"] return $a`)
+	eng := NewEngine()
+	view, err := eng.View(`transform copy $a := doc("parts") modify do delete $a//supplier[country = "A"] return $a`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	uq, err := ParseUserQuery(`for $x in /db/part/supplier return $x/sname`)
+	pv, err := view.Prepare(`for $x in /db/part/supplier return $x/sname`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, err := Compose(qt, uq)
+	got, _, err := pv.Eval(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := comp.Eval(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err := NaiveCompose(qt, uq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := naive.Eval(doc)
+	want, err := pv.EvalSequential(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,14 +109,11 @@ func TestComposeFlow(t *testing.T) {
 	if countLabel(got, "sname") != 1 {
 		t.Errorf("expected only the HP supplier, got %s", got)
 	}
-	if comp.XQueryText() == "" || naive.XQueryText() == "" {
-		t.Errorf("empty rendered composition")
-	}
-	if _, err := Compose(&Query{}, uq); err == nil {
+	if _, err := eng.View(`transform nonsense`); err == nil {
 		t.Errorf("invalid transform accepted")
 	}
-	if _, err := NaiveCompose(&Query{}, uq); err == nil {
-		t.Errorf("invalid transform accepted by NaiveCompose")
+	if _, err := view.Prepare(`for broken`); err == nil {
+		t.Errorf("invalid user query accepted")
 	}
 }
 
