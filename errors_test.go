@@ -225,25 +225,6 @@ func TestErrorTaxonomy(t *testing.T) {
 			kind:    KindCorrupt,
 			wantPos: true,
 		},
-		{
-			name: "store: in-place update of a sealed snapshot",
-			run: func() error {
-				st := NewStore(eng)
-				if _, _, err := st.Put(ctx, "d", FromString("<db><price>1</price></db>")); err != nil {
-					return err
-				}
-				snap, err := st.Snapshot("d")
-				if err != nil {
-					return err
-				}
-				q, err := ParseQuery(validQuery)
-				if err != nil {
-					return err
-				}
-				return q.Update.Apply(snap.Root())
-			},
-			kind: KindEval,
-		},
 	}
 
 	for _, tc := range cases {

@@ -22,15 +22,11 @@ func EvalCopyUpdate(ctx context.Context, c *Compiled, doc *tree.Node) (*tree.Nod
 	if ctx != nil && ctx.Err() != nil {
 		return nil, xerr.Wrap(xerr.Eval, ctx.Err())
 	}
-	// Index the private snapshot so the update's selected-set membership
-	// is a dense ordinal bitset instead of a pointer map. The deep copy
-	// shares no nodes with anything, so the sealed-ownership guard of
-	// the public Update.Apply is skipped: applyPrivate saves a full
-	// traversal per evaluation on this benchmarked baseline.
-	tree.EnsureIndex(snapshot)
+	// The deep copy is never indexed: it is mutated in place, and a
+	// node's index stamp is never rewritten.
 	if err := c.Query.Update.Validate(); err != nil {
 		return nil, err
 	}
-	c.Query.Update.applyPrivate(snapshot)
+	c.Query.Update.apply(snapshot)
 	return snapshot, nil
 }

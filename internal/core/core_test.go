@@ -2,14 +2,14 @@ package core
 
 import (
 	"context"
-	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"xtq/internal/sax"
 	"xtq/internal/tree"
-	"xtq/internal/xerr"
 	"xtq/internal/xpath"
 )
 
@@ -394,17 +394,18 @@ func TestNaiveQuadraticShape(t *testing.T) {
 }
 
 // TestSharedSubtreeReindexSafety pins the ownership discipline of the
-// node index: topDown results share subtrees with their input, so
-// indexing a result steals those nodes from the input document's index
-// (tree.Index ownership is exclusive). Every evaluator must detect the
-// stolen nodes (Index.OrdOf reports non-membership) and degrade to its
-// slow path instead of reading another document's ordinals.
+// node index: topDown results share subtrees with their input, and
+// indexing a result must leave those nodes stamped by the input
+// document's index (a stamp is written once, never overwritten). The
+// input keeps its full index; the result's index does not cover the
+// shared subtrees, and every evaluator over it takes its slow path
+// there instead of reading another document's ordinals.
 func TestSharedSubtreeReindexSafety(t *testing.T) {
 	d := doc(t)
 	c := compile(t, `transform copy $a := doc("foo") modify do delete $a//supplier[country = "A"]/price return $a`)
 	want := assertAllEqual(t, evalAllMethods(t, c, d))
 
-	// Produce a sharing result and index it, stealing shared nodes.
+	// Produce a sharing result and index it.
 	r1, err := c.Eval(d, MethodTopDown)
 	if err != nil {
 		t.Fatal(err)
@@ -414,15 +415,22 @@ func TestSharedSubtreeReindexSafety(t *testing.T) {
 	}
 	tree.EnsureIndex(r1)
 
-	// The input document's cached index is now partial; all methods must
-	// still agree with the pre-stealing reference.
+	// The input document still owns every one of its nodes.
+	dix := tree.IndexOf(d)
+	if dix == nil {
+		t.Fatal("input document lost its index")
+	}
+	if got, all := ownedNodes(dix, d), d.Size(); got != all {
+		t.Fatalf("input index owns %d of its %d nodes after indexing a sharing result", got, all)
+	}
+
 	after := evalAllMethods(t, c, d)
 	assertAllEqual(t, after)
 	if !tree.Equal(after[MethodTwoPass], want) {
-		t.Fatal("results changed after a sharing tree was re-indexed")
+		t.Fatal("results changed after a sharing tree was indexed")
 	}
 
-	// Evaluating over the re-indexed result works too.
+	// Evaluating over the indexed result works too.
 	r2, err := c.Eval(r1, MethodTwoPass)
 	if err != nil {
 		t.Fatal(err)
@@ -432,14 +440,14 @@ func TestSharedSubtreeReindexSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tree.Equal(r2, ref) {
-		t.Fatal("evaluation over re-indexed result diverges")
+		t.Fatal("evaluation over indexed result diverges")
 	}
 
 	// The sharper variant: deleting the document's first-interned label
-	// shifts the result's interning order, so the stolen nodes' Sym
-	// fields are valid ids of a *different* table ("a" gets "x"'s old
-	// id). Trusting raw Sym values against the original document's
-	// binding would then false-match and delete <a> on the re-run.
+	// shifts the result's interning order, so the shared nodes' Sym
+	// fields and the result's table disagree ("a" gets "x"'s old id in
+	// the result's table). Trusting raw Sym values against the wrong
+	// binding would then false-match and delete <a>.
 	d2, err := sax.ParseString(`<root><x/><a/><b/></root>`)
 	if err != nil {
 		t.Fatal(err)
@@ -449,69 +457,98 @@ func TestSharedSubtreeReindexSafety(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree.EnsureIndex(first) // restamps the shared <a> and <b> nodes
+	tree.EnsureIndex(first) // covers the new spine only; <a>, <b> stay d2's
 	for _, m := range Methods() {
 		again, err := c2.Eval(d2, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !tree.Equal(again, first) {
-			t.Fatalf("%s after re-indexing: got %s, want %s", m, again, first)
+			t.Fatalf("%s after indexing the result: got %s, want %s", m, again, first)
+		}
+		again, err = c2.Eval(first, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tree.Equal(again, first) {
+			t.Fatalf("%s over the indexed result: got %s, want %s", m, again, first)
 		}
 	}
 }
 
-// TestApplySealedSnapshotFailsFast pins the store-snapshot counterpart
-// of TestSharedSubtreeReindexSafety: Update.Apply on a document that is
-// — or shares subtrees with — a sealed snapshot must fail with a typed
-// error before any mutation, instead of corrupting the snapshot's
-// lock-free readers and silently degrading them by dropping the index.
-func TestApplySealedSnapshotFailsFast(t *testing.T) {
+// ownedNodes counts the nodes under root that ix reports as members.
+func ownedNodes(ix *tree.Index, root *tree.Node) int {
+	n := 0
+	stack := []*tree.Node{root}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if ix.Contains(x) {
+			n++
+		}
+		stack = append(stack, x.Children...)
+	}
+	return n
+}
+
+// TestConcurrentEvalWhileIndexingSharingTree: goroutines evaluate a
+// parsed document with twoPass while another goroutine keeps indexing
+// new trees that wrap a topDown result sharing the document's subtrees.
+// Indexing never restamps the shared nodes, so the readers neither race
+// (run under -race) nor fall back, and every result equals the
+// copy-and-update oracle.
+func TestConcurrentEvalWhileIndexingSharingTree(t *testing.T) {
 	d := doc(t)
-	snapRoot, _, _ := tree.Freeze(d, nil)
-	snapXML := snapRoot.String()
-
-	u := &Update{Op: Delete, Path: xpath.MustParse(`//price`)}
-
-	// Directly on the sealed root.
-	err := u.Apply(snapRoot)
-	var xe *xerr.Error
-	if !errors.As(err, &xe) || xe.Kind != xerr.Eval {
-		t.Fatalf("Apply(sealed) = %v, want *xerr.Error kind eval", err)
-	}
-	if snapRoot.String() != snapXML {
-		t.Fatal("failed Apply mutated the sealed snapshot")
-	}
-	if ix := tree.IndexOf(snapRoot); ix == nil || !ix.Sealed() {
-		t.Fatal("failed Apply disturbed the sealed index")
-	}
-
-	// On a tree that shares subtrees with the snapshot: the structural
-	// sharing shape a topDown result over a snapshot has.
-	c := compile(t, `transform copy $a := doc("foo") modify do delete $a//supplier[country = "A"]/price return $a`)
-	shared, err := c.Eval(snapRoot, MethodTopDown)
+	c := compile(t, `transform copy $a := doc("foo") modify do delete $a//part[not(supplier/sname = "HP") and not(supplier/price < 15)] return $a`)
+	want, err := c.Eval(d.DeepCopy(), MethodCopyUpdate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.SharedNodes(snapRoot, shared) == 0 {
-		t.Fatal("precondition: result shares no nodes with the snapshot")
-	}
-	err = u.Apply(shared)
-	if !errors.As(err, &xe) || xe.Kind != xerr.Eval {
-		t.Fatalf("Apply(sharing tree) = %v, want *xerr.Error kind eval", err)
-	}
-	if snapRoot.String() != snapXML {
-		t.Fatal("failed Apply mutated the snapshot through a sharing tree")
-	}
+	share := compile(t, `transform copy $a := doc("foo") modify do rename $a/db/part[pname = "mouse"] as item return $a`)
 
-	// A private deep copy severs the sharing and updates fine — the
-	// copy-and-update baseline over snapshots keeps working.
-	priv := shared.DeepCopy()
-	if err := u.Apply(priv); err != nil {
-		t.Fatalf("Apply(deep copy) = %v", err)
+	const readers, rounds = 4, 50
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	errs := make(chan error, readers+1)
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < rounds; j++ {
+				got, err := c.Eval(d, MethodTwoPass)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !tree.Equal(got, want) {
+					errs <- fmt.Errorf("round %d: twopass result %s, want %s", j, got, want)
+					return
+				}
+			}
+		}()
 	}
-	if snapRoot.String() != snapXML {
-		t.Fatal("updating a deep copy mutated the snapshot")
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for j := 0; j < rounds; j++ {
+			r, err := EvalTopDown(context.Background(), share, d, DirectChecker{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			tree.EnsureIndex(tree.NewDocument(tree.NewElement("wrap", r.Children...)))
+		}
+	}()
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got, all := ownedNodes(tree.IndexOf(d), d), d.Size(); got != all {
+		t.Fatalf("document index owns %d of its %d nodes", got, all)
 	}
 }
 
@@ -542,21 +579,10 @@ func TestEvalOverSealedSharingTree(t *testing.T) {
 
 	// The snapshot still owns every one of its nodes.
 	ix := tree.IndexOf(snapRoot)
-	if ix == nil || !ix.Sealed() {
+	if ix == nil {
 		t.Fatal("snapshot index lost")
 	}
-	count := 0
-	var walk func(n *tree.Node)
-	walk = func(n *tree.Node) {
-		if ix.Contains(n) {
-			count++
-		}
-		for _, ch := range n.Children {
-			walk(ch)
-		}
-	}
-	walk(snapRoot)
-	if count != ix.NumNodes {
+	if count := ownedNodes(ix, snapRoot); count != ix.NumNodes {
 		t.Fatalf("snapshot owns %d of %d nodes after sharing-tree evaluation", count, ix.NumNodes)
 	}
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"xtq/internal/tree"
+	"xtq/internal/xerr"
 	"xtq/internal/xpath"
 )
 
@@ -186,11 +189,24 @@ func TestUpdateStringForms(t *testing.T) {
 	}
 }
 
+// TestApplyRequiresValid: an update that fails validation is rejected,
+// typed, and the copy-and-update baseline refuses it before mutating
+// anything.
 func TestApplyRequiresValid(t *testing.T) {
 	d := tree.NewDocument(tree.NewElement("db"))
+	before := d.String()
 	u := Update{Op: Insert, Path: xpath.MustParse("db")}
-	if err := u.Apply(d); err == nil {
-		t.Errorf("Apply accepted invalid update")
+	var xe *xerr.Error
+	if err := u.Validate(); !errors.As(err, &xe) || xe.Kind != xerr.Compile {
+		t.Fatalf("Validate(insert without element) = %v, want *xerr.Error kind compile", err)
+	}
+	c := &Compiled{Query: &Query{Var: "a", Doc: "d", Update: u}}
+	out, err := EvalCopyUpdate(context.Background(), c, d)
+	if !errors.As(err, &xe) || xe.Kind != xerr.Compile || out != nil {
+		t.Fatalf("EvalCopyUpdate(invalid) = %v, %v; want nil and a compile error", out, err)
+	}
+	if d.String() != before {
+		t.Fatal("a rejected update changed the input")
 	}
 }
 

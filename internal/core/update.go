@@ -119,71 +119,25 @@ func (u *Update) String(v string) string {
 	}
 }
 
-// Apply destructively applies the update to doc, which must be a private
-// copy: this is the second half of the copy-and-update baseline and the
-// only mutating operation on trees in the repository. The selected set
-// r[[p]] is computed before any mutation, matching the paper's update
-// semantics (§2). On an indexed document membership is a dense bitset
-// over node ordinals; otherwise a pointer map is used. The mutation
-// invalidates any index the document carried (structure and labels
-// change), so the index is dropped and the next evaluation re-indexes.
-//
-// A document that is — or shares subtrees with — a sealed store snapshot
-// is rejected up front with a typed Eval error: mutating nodes a live
-// snapshot owns would corrupt its lock-free readers, and dropping the
-// index afterwards would silently degrade them at best. Commit updates
-// through the store (which evaluates the transform copy-on-write)
-// instead of mutating a snapshot in place.
-func (u *Update) Apply(doc *tree.Node) error {
-	if err := u.Validate(); err != nil {
-		return err
+// apply destructively applies the update to doc, a private copy that no
+// index has stamped: this is the second half of the copy-and-update
+// baseline and the only mutating operation on trees in the repository.
+// The selected set r[[p]] is computed before any mutation, matching the
+// paper's update semantics (§2). The caller validates the update first.
+func (u *Update) apply(doc *tree.Node) {
+	sel := make(map[*tree.Node]struct{})
+	for _, n := range xpath.Select(doc, u.Path) {
+		sel[n] = struct{}{}
 	}
-	if ix := tree.SealedOwner(doc); ix != nil {
-		return xerr.New(xerr.Eval, "",
-			"core: in-place update on a tree sharing nodes with a sealed snapshot (%d nodes); apply the update through the store instead",
-			ix.NumNodes)
-	}
-	u.applyPrivate(doc)
-	return nil
+	applyInPlace(doc, sel, u)
 }
 
-// applyPrivate is Apply after validation and the sealed-ownership guard:
-// the fast path for callers that constructed doc themselves this instant
-// (EvalCopyUpdate's deep copy can never share sealed nodes, so scanning
-// it on every evaluation would tax the baseline for nothing).
-func (u *Update) applyPrivate(doc *tree.Node) {
-	var selected func(*tree.Node) bool
-	if ix := tree.IndexOf(doc); ix != nil {
-		sel := make([]bool, ix.NumNodes)
-		for _, n := range xpath.Select(doc, u.Path) {
-			if ord, ok := ix.OrdOf(n); ok {
-				sel[ord] = true
-			}
-		}
-		selected = func(n *tree.Node) bool {
-			ord, ok := ix.OrdOf(n)
-			return ok && sel[ord]
-		}
-	} else {
-		sel := make(map[*tree.Node]struct{})
-		for _, n := range xpath.Select(doc, u.Path) {
-			sel[n] = struct{}{}
-		}
-		selected = func(n *tree.Node) bool {
-			_, hit := sel[n]
-			return hit
-		}
-	}
-	applyInPlace(doc, selected, u)
-	tree.DropIndex(doc)
-}
-
-func applyInPlace(n *tree.Node, selected func(*tree.Node) bool, u *Update) {
+func applyInPlace(n *tree.Node, sel map[*tree.Node]struct{}, u *Update) {
 	// Rewrite the child list: delete removes members, replace
 	// substitutes the constant element (without descending further).
 	out := n.Children[:0]
 	for _, c := range n.Children {
-		hit := selected(c)
+		_, hit := sel[c]
 		if hit {
 			switch u.Op {
 			case Delete:
@@ -199,7 +153,7 @@ func applyInPlace(n *tree.Node, selected func(*tree.Node) bool, u *Update) {
 				// element is the last child
 			}
 		}
-		applyInPlace(c, selected, u)
+		applyInPlace(c, sel, u)
 		if hit && u.Op == Insert {
 			c.Children = append(c.Children, u.Elem.DeepCopy())
 		}

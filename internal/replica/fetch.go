@@ -36,7 +36,7 @@ type chunk struct {
 	data    []byte
 	from    int64 // offset data starts at
 	size    int64 // segment's safe size at response time
-	sealed  bool
+	frozen  bool  // segment sealed by rotation: no more bytes will come
 	tail    wal.Pos
 	behind  int64 // bytes from end of data to tail
 	records int64 // primary's appended-record count
@@ -147,7 +147,7 @@ func (c *feedClient) segment(ctx context.Context, seq uint64, from int64, wait t
 	ch := chunk{
 		from:    headerInt(resp, HdrFrom, from),
 		size:    headerInt(resp, HdrSize, 0),
-		sealed:  resp.Header.Get(HdrSealed) == "true",
+		frozen:  resp.Header.Get(HdrSealed) == "true",
 		behind:  headerInt(resp, HdrBehind, -1),
 		records: headerInt(resp, HdrRecords, -1),
 	}

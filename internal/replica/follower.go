@@ -481,7 +481,7 @@ func (f *Follower) consume(pos wal.Pos, ck chunk) bool {
 	f.mu.Unlock()
 
 	// Finished a sealed segment: continue at the next one.
-	if ck.sealed && end.Seq == pos.Seq && end.Offset >= ck.size && used == len(buf) {
+	if ck.frozen && end.Seq == pos.Seq && end.Offset >= ck.size && used == len(buf) {
 		f.mu.Lock()
 		f.pos = wal.Pos{Seq: pos.Seq + 1}
 		f.mu.Unlock()

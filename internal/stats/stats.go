@@ -1,6 +1,6 @@
 // Package stats is the document side of the cost-based method planner:
 // a read-only view over the per-snapshot statistics record the tree
-// layer collects at Seal/Freeze time and maintains in O(|delta|) across
+// layer collects at Adopt/Freeze time and maintains in O(|delta|) across
 // PathCopy commits (internal/tree/stats.go). The planner
 // (internal/plan) consumes this view by label name — it never touches
 // symbol ids or the nodes — so the cost model stays independent of
@@ -18,7 +18,7 @@ type Doc struct {
 }
 
 // Of returns the statistics view of the document version ix indexes.
-// For sealed snapshots the record is precomputed and this is O(1); a
+// For store snapshots the record is precomputed and this is O(1); a
 // plain evaluation index pays one tree walk on first use (cached on the
 // index). A nil index yields the zero Doc.
 func Of(ix *tree.Index) Doc {

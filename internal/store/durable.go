@@ -258,8 +258,7 @@ func (st *Store) recoverPublish(name string, version uint64, root *tree.Node) *S
 	ds := st.state(name)
 	snap := &Snapshot{name: name, version: version}
 	if root != nil {
-		snap.root = root
-		snap.ix = tree.Seal(root)
+		snap.root, snap.ix, _ = tree.Adopt(root)
 	}
 	ds.cur.Store(snap)
 	ds.pushHist(snap)
@@ -637,7 +636,7 @@ var errReconstructed = errors.New("store: reconstruction complete")
 
 // reconstruct rebuilds name@version by replaying the log from the last
 // checkpoint — the slow half of SnapshotAt, for versions that fell out
-// of the history ring. The rebuilt snapshot is private: sealed and
+// of the history ring. The rebuilt snapshot is private: indexed and
 // evaluable like any other, but not re-inserted into the ring.
 func (d *durable) reconstruct(ctx context.Context, name string, version uint64) (*Snapshot, error) {
 	d.ckptMu.Lock()

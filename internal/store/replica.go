@@ -182,7 +182,7 @@ func (st *Store) ResetToLogged(docs []wal.CheckpointDoc, pos string, o ReplayOpt
 				return &xerr.Error{Kind: xerr.Corrupt, Pos: pos,
 					Msg: fmt.Sprintf("store: checkpointed document %q does not parse", doc.Name), Err: err}
 			}
-			snap.root, snap.ix = root, tree.Seal(root)
+			snap.root, snap.ix, _ = tree.Adopt(root)
 		}
 		ds.cur.Store(snap)
 		ds.pushHist(snap)

@@ -4,12 +4,13 @@
 // paper's central move, and the substrate the xtqd serving layer runs
 // on).
 //
-// Named documents are held as immutable, indexed, sealed snapshots
-// (tree.Freeze / tree.Seal). Readers obtain a *Snapshot via an atomic
-// pointer load and evaluate compiled queries and composition plans
-// against it with zero locking on the hot path: a sealed index is
-// served by tree.EnsureIndex without the package mutex, and nothing
-// ever mutates or re-stamps a sealed tree. Writers commit XQU updates
+// Named documents are held as immutable, indexed snapshots, each the
+// head of a version chain (tree.Adopt / tree.Freeze). Readers obtain a
+// *Snapshot via an atomic pointer load and evaluate compiled queries and
+// composition plans against it with zero locking on the hot path:
+// tree.EnsureIndex serves a stamped root with one atomic load, and
+// nothing ever mutates a stored tree or rewrites a node's index stamp
+// (stamps are written once, see internal/tree). Writers commit XQU updates
 // persistently (shared structure): the update's transform query is
 // evaluated over the current snapshot (structural sharing, input
 // untouched), the result is adopted into the next version of the chain
@@ -73,12 +74,13 @@ func (s *Snapshot) Name() string { return s.name }
 // name, incremented by every committed update, re-ingest or removal.
 func (s *Snapshot) Version() uint64 { return s.version }
 
-// Root returns the snapshot's document node. The tree is sealed: treat
-// it as strictly read-only (in-place mutation is rejected by
-// core.Update.Apply, and evaluators never modify their input).
+// Root returns the snapshot's document node. Treat the tree as strictly
+// read-only: it is shared with every reader and with later versions,
+// evaluators never modify their input, and an update is committed
+// through Apply, which builds the next version beside this one.
 func (s *Snapshot) Root() *tree.Node { return s.root }
 
-// Index returns the snapshot's sealed index.
+// Index returns the snapshot's index: the head of its version chain.
 func (s *Snapshot) Index() *tree.Index { return s.ix }
 
 // deleted reports whether the snapshot is a tombstone — the committed
@@ -108,10 +110,7 @@ func (s *Snapshot) NumNodes() int {
 	if s.ix == nil {
 		return 0
 	}
-	if s.ix.Live > 0 {
-		return s.ix.Live
-	}
-	return s.ix.NumNodes
+	return s.ix.Live
 }
 
 // Commit describes one successful write: the snapshot it produced and
@@ -509,9 +508,9 @@ func (st *Store) commitDurable(ds *docState, old, next *Snapshot, appendRec func
 // version 1 when the name is new. When adopt is true the store takes
 // ownership of doc directly — the caller must hand over a private,
 // fully-built tree (e.g. one it just parsed) and never touch it again;
-// the tree's index is sealed in place, skipping the snapshot copy.
-// When adopt is false doc is snapshot-copied, so the caller keeps
-// ownership of its tree.
+// tree.Adopt takes it in place when its own index owns it whole and
+// copies it otherwise (see Adopt). When adopt is false doc is
+// snapshot-copied, so the caller keeps ownership of its tree.
 func (st *Store) Put(name string, doc *tree.Node, adopt bool) (*Snapshot, Commit, error) {
 	if doc == nil {
 		return nil, Commit{}, xerr.New(xerr.Eval, "", "store: nil document for %q", name)
@@ -525,17 +524,14 @@ func (st *Store) Put(name string, doc *tree.Node, adopt bool) (*Snapshot, Commit
 		ix   *tree.Index
 		cs   tree.CopyStats
 	)
-	owner := tree.SealedOwner(doc)
-	if adopt && owner == nil {
-		root = doc
-		ix = tree.Seal(doc)
+	if adopt {
+		root, ix, cs = tree.Adopt(doc)
 	} else {
-		// Either the caller keeps ownership, or the "private" tree shares
-		// nodes with a sealed snapshot (it was not private after all):
-		// copy in both cases. A sealed owner (e.g. re-ingesting another
-		// snapshot) seeds the symbol table, so its labels keep their ids
-		// and the copy walk skips the intern lookups.
-		root, ix, cs = tree.Freeze(doc, owner)
+		// The caller keeps its tree: copy it. Its index, when it has one
+		// (a parsed document, another snapshot), seeds the symbol table,
+		// so its labels keep their ids and the copy walk skips the
+		// intern lookups.
+		root, ix, cs = tree.Freeze(doc, tree.IndexOf(doc))
 	}
 	ds := st.state(name)
 	if st.dur != nil {
@@ -593,8 +589,8 @@ func (st *Store) Put(name string, doc *tree.Node, adopt bool) (*Snapshot, Commit
 // Apply commits the compiled update query c against the current version
 // of name: the transform is evaluated copy-on-write over the snapshot
 // (which concurrent readers keep using, untouched), the result is
-// adopted into a fresh sealed snapshot, and the version chain head is
-// advanced by CAS. A writer that loses the race re-evaluates against
+// path-copied into the next snapshot of the chain, and the chain head
+// is advanced by CAS. A writer that loses the race re-evaluates against
 // the winner's snapshot and tries again — Apply itself never returns a
 // conflict. Use ApplyAt for compare-and-set semantics against a version
 // the caller has seen.
@@ -650,7 +646,7 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 			return nil, Commit{}, conflict(name, base, snap.version)
 		}
 
-		// Resolve MethodAuto against this round's snapshot: its sealed
+		// Resolve MethodAuto against this round's snapshot: its chain
 		// index carries the statistics the planner prices methods with,
 		// and a lost CAS race re-plans against the winner's version.
 		em := m
@@ -688,7 +684,7 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 			com  = Commit{Version: snap.version + 1}
 		)
 		// A no-op update commits zero-copy: the new version shares the old
-		// tree (sealed snapshots are immutable, so sharing root and index
+		// tree (snapshots are immutable, so sharing root and index
 		// across versions is safe). topDown and twoPass signal "nothing
 		// matched" by returning the input itself; the other evaluators
 		// always build a fresh root, so for them a structural comparison

@@ -67,8 +67,8 @@ func TestPutSnapshotVersioning(t *testing.T) {
 	if snap.Root() != doc {
 		t.Fatal("adopted ingest did not take the tree")
 	}
-	if !snap.Index().Sealed() {
-		t.Fatal("snapshot index not sealed")
+	if snap.Index() != tree.IndexOf(doc) || snap.NumNodes() != doc.Size() {
+		t.Fatal("adopted ingest did not keep the parsed index as the chain head")
 	}
 
 	// Copied ingest: the caller keeps its tree.
@@ -86,18 +86,18 @@ func TestPutSnapshotVersioning(t *testing.T) {
 	if snap2.Root() == mine {
 		t.Fatal("copied ingest aliased the caller's tree")
 	}
-	// The caller's tree is still usable and unsealed.
-	if tree.SealedOwner(mine) != nil {
-		t.Fatal("copied ingest sealed the caller's tree")
+	// The caller's tree keeps its own index, which heads no chain.
+	if ix := tree.IndexOf(mine); ix == nil || ix == snap2.Index() || ix.Live != 0 {
+		t.Fatal("copied ingest adopted the caller's index")
 	}
 
-	// Adopt requested for a tree sharing a sealed snapshot: must copy.
+	// Adopt requested for another snapshot's root: must copy.
 	snap3, com3, err := st.Put("parts2", snap2.Root(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if com3.CopiedNodes == 0 || snap3.Root() == snap2.Root() {
-		t.Fatal("sealed tree was adopted instead of copied")
+		t.Fatal("snapshot tree was adopted instead of copied")
 	}
 
 	names := st.Names()
@@ -144,9 +144,23 @@ func TestApplyCommitsNewVersion(t *testing.T) {
 	if com.CopiedBytes <= 0 {
 		t.Fatal("CopiedBytes not reported")
 	}
-	// The new version and its aliased subtrees are sealed-owned.
-	if !snap.Index().Sealed() || tree.SealedOwner(snap.Root()) == nil {
-		t.Fatal("new snapshot not sealed-owned")
+	// The new version owns its spine and, through the chain, its
+	// aliased subtrees: every node it reaches.
+	if tree.IndexOf(snap.Root()) != snap.Index() || snap.NumNodes() != snap.Root().Size() {
+		t.Fatal("new snapshot is not its root's chain index")
+	}
+	var unowned []*tree.Node
+	stack := []*tree.Node{snap.Root()}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !snap.Index().Contains(n) {
+			unowned = append(unowned, n)
+		}
+		stack = append(stack, n.Children...)
+	}
+	if len(unowned) != 0 {
+		t.Fatalf("new snapshot does not own %d of its nodes", len(unowned))
 	}
 
 	// No-op update: version advances, tree and index shared with v2 —

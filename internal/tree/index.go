@@ -14,21 +14,19 @@ import (
 // for the dense-state evaluation paths and for future parallel subtree
 // evaluation.
 //
-// An Index belongs to exactly one document node. Indexing mutates the
-// nodes it reaches (it stamps each with its ordinal and owning index), so
-// a node can be a member of at most one Index at a time: re-indexing a
-// tree that shares subtrees with an already-indexed document steals those
-// nodes. OrdOf detects stolen or foreign nodes and reports them as
-// non-members, so evaluators degrade to their slow paths instead of
-// reading another document's ordinals. Do not index a tree concurrently
-// with evaluations over another tree that shares nodes with it.
+// Indexing stamps each node it covers with its ordinal and owning index.
+// A stamp is written at most once and is never overwritten or cleared:
+// indexing a tree that shares subtrees with an already-indexed document
+// skips the stamped subtrees, which keep their owner, and this index
+// simply does not cover them. OrdOf reports such foreign nodes as
+// non-members, so evaluators take their slow paths there instead of
+// reading another document's ordinals. Because nothing is ever restamped,
+// any tree can be indexed while other goroutines evaluate documents that
+// share nodes with it.
 //
-// A sealed Index (see Seal, Freeze and PathCopy) is the exception to the
-// stealing rule: its nodes are permanently owned — indexing a tree that
-// shares subtrees with a sealed document skips those subtrees instead of
-// stealing them, and DropIndex is a no-op. Sealing is what makes
-// versioned store snapshots safe to read without locks while other trees
-// are being indexed.
+// An index publishes itself by stamping its root last, after NumNodes and
+// Syms are final, so one atomic load of the root's stamp (IndexOf,
+// EnsureIndex) observes a complete index without a lock.
 type Index struct {
 	// Root is the document node the index was built from. It is nil on
 	// the membership stamp PathCopy puts on a version's non-root nodes —
@@ -47,31 +45,24 @@ type Index struct {
 	// — replaced ordinals become holes, new nodes append at the tail —
 	// so NumNodes can exceed the live node count (see Live).
 	NumNodes int
-	// Live is the number of nodes actually reachable from Root. Equal
-	// to NumNodes for freshly indexed documents; after path copies it
-	// lags NumNodes by the dead (replaced) ordinals still occupying the
-	// numbering. Zero for indexes built before sealing (use NumNodes).
+	// Live is the number of nodes reachable from Root. Set on version
+	// chain members (Adopt, Freeze, PathCopy), which own every node they
+	// reach; it lags NumNodes by the dead (replaced) ordinals still
+	// occupying a path-copied chain's numbering. Zero for plain indexes,
+	// which may not cover every node of their tree.
 	Live int
-	// sealed marks the index (and every node it owns) immutable: the
-	// nodes can never be re-stamped by a later indexing and the index can
-	// never be dropped. It is written only before the tree is published
-	// to other goroutines (Seal's contract), so the lock-free fast paths
-	// may read it without synchronization.
-	sealed bool
-	// chain identifies the persistent version chain this sealed snapshot
+	// chain identifies the persistent version chain this snapshot
 	// belongs to: every version produced from it by PathCopy shares the
 	// same chain pointer, and epoch counts the version's distance from
 	// the chain's freeze. Membership (OrdOf) accepts nodes stamped by
 	// any ancestor version — the aliased, unchanged subtrees a path copy
 	// shares by reference — because their ordinals and symbols are
-	// stable across the chain. nil for non-chain indexes: plain
-	// evaluation indexes, and sealed trees containing foreign sealed
-	// subtrees, which PathCopy adopts by a full Freeze.
+	// stable across the chain. nil for plain evaluation indexes.
 	chain *chainID
 	epoch int32
 	// stats caches the per-document statistics record (see stats.go):
-	// eager for sealed snapshots, computed on first Stats() call for
-	// plain indexes. Atomic because lazy computation may race between
+	// eager for chain members, computed on first Stats() call for plain
+	// indexes. Atomic because lazy computation may race between
 	// concurrent readers of a shared document.
 	stats atomic.Pointer[Stats]
 }
@@ -80,74 +71,38 @@ type Index struct {
 // path-copied document chain; only its pointer matters.
 type chainID struct{ _ byte }
 
-// Sealed reports whether the index is sealed — owned by an immutable
-// snapshot whose nodes can never be stolen or mutated.
-func (ix *Index) Sealed() bool { return ix.sealed }
-
-// indexMu serializes index construction and the cached-index check, so
-// concurrent evaluations of the same document build its index exactly
-// once and later callers observe fully-stamped nodes (the mutex acquire
-// orders the stamp writes before any ordinal read).
+// indexMu serializes the first indexing of unstamped trees, so concurrent
+// evaluations of the same document build its index exactly once and two
+// trees sharing unstamped nodes never race to stamp them.
 var indexMu sync.Mutex
 
-// IndexOf returns the document's current index, or nil when it was never
-// indexed (or its index was superseded).
+// IndexOf returns the index rooted at doc, or nil when doc was never
+// indexed as a document (it is unstamped, or an interior node of another
+// document's index).
 func IndexOf(doc *Node) *Index {
-	if ix := doc.idx.Load(); ix != nil && ix.sealed && ix.Root == doc {
-		return ix
-	}
-	indexMu.Lock()
-	defer indexMu.Unlock()
 	if ix := doc.idx.Load(); ix != nil && ix.Root == doc {
 		return ix
 	}
 	return nil
 }
 
-// EnsureIndex returns the document's index, building it on first use.
-// It is safe to call from concurrent evaluations of the same document;
-// see the Index comment for the sharing caveat.
-//
-// For members of a sealed snapshot the hot path is lock-free: a sealed
-// index is immutable and its nodes can never be re-stamped, so the
-// cached pointer is returned without taking the package mutex. This is
-// what lets any number of store readers evaluate against one snapshot
-// with zero lock traffic. (When doc is an interior node of a sealed
-// snapshot the owner's index is returned: its ordinals and symbols
-// remain valid for the subtree.)
+// EnsureIndex returns the index owning doc, building one on first use.
+// It is safe to call from any number of goroutines. Once doc is stamped
+// the answer is one lock-free load: the index rooted at doc, or — for an
+// interior node of an indexed tree — the owner's index, whose ordinals
+// and symbols stay valid for the subtree.
 func EnsureIndex(doc *Node) *Index {
-	if ix := doc.idx.Load(); ix != nil && ix.sealed {
+	if ix := doc.idx.Load(); ix != nil && (ix.Root == nil || ix.Root.idx.Load() == ix) {
 		return ix
 	}
 	indexMu.Lock()
 	defer indexMu.Unlock()
-	if ix := doc.idx.Load(); ix != nil && (ix.Root == doc || ix.sealed) {
+	if ix := doc.idx.Load(); ix != nil {
+		// Stamped while we waited, or an interior node of a tree whose
+		// indexing (under this lock) has now finished.
 		return ix
 	}
-	return indexWithLocked(doc, NewSymbols())
-}
-
-// IndexWith builds doc's index against syms — the parser's TreeBuilder
-// passes the table it interned labels into while building, so the walk
-// reuses the Sym fields already stamped on the nodes. The caller must own
-// syms (no concurrent readers); the table is frozen once IndexWith
-// returns. When doc is already owned by a sealed index that index is
-// returned unchanged: sealed trees are never re-indexed.
-func IndexWith(doc *Node, syms *Symbols) *Index {
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	if ix := doc.idx.Load(); ix != nil && ix.sealed {
-		return ix
-	}
-	return indexWithLocked(doc, syms)
-}
-
-func indexWithLocked(doc *Node, syms *Symbols) *Index {
-	if cur := doc.idx.Load(); cur != nil && cur.sealed {
-		// doc is (an interior node of) a sealed snapshot: nothing here
-		// may be restamped. The owner's index covers the subtree.
-		return cur
-	}
+	syms := NewSymbols()
 	ix := &Index{Root: doc, Syms: syms}
 	// Iterative preorder walk: documents admitted by a generous
 	// WithMaxDepth must not overflow the goroutine stack here.
@@ -157,16 +112,14 @@ func indexWithLocked(doc *Node, syms *Symbols) *Index {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if cur := n.idx.Load(); cur != nil && cur.sealed {
-			// n (and, by construction, its whole subtree) is owned by a
-			// sealed snapshot. Stealing it would corrupt lock-free
-			// readers of that snapshot, so the subtree keeps its owner
-			// and this index simply does not cover it — OrdOf reports
-			// non-membership and evaluators use their slow paths there.
+		if n.idx.Load() != nil {
+			// Stamped by another index, and so is its whole subtree (an
+			// index stamps every unstamped node below the ones it
+			// covers). The stamp is final: readers of that document keep
+			// their ordinals, and this index does not cover the subtree.
 			continue
 		}
 		n.ord = ord
-		n.idx.Store(ix)
 		ord++
 		if n.Kind == Element {
 			if !syms.covers(n.Sym, n.Label) {
@@ -175,6 +128,9 @@ func indexWithLocked(doc *Node, syms *Symbols) *Index {
 			for i := range n.Attrs {
 				syms.Intern(n.Attrs[i].Name)
 			}
+		}
+		if n != doc {
+			n.idx.Store(ix)
 		}
 		// Push children in reverse so they pop in document order.
 		for i := len(n.Children) - 1; i >= 0; i-- {
@@ -186,41 +142,27 @@ func indexWithLocked(doc *Node, syms *Symbols) *Index {
 	return ix
 }
 
-// Seal marks doc's index immutable, building the index first when doc
-// has none. A sealed document's nodes can never be stolen by a later
-// indexing, its index is never dropped, and EnsureIndex serves it
-// lock-free — the properties the versioned store relies on for its
-// snapshots.
+// Adopt makes doc the head of a new version chain, the form the
+// versioned store keeps documents in. A tree its own root index owns
+// whole and that heads no chain yet — a freshly parsed document — is
+// adopted in place: one walk collects the planner's statistics and
+// confirms the ownership PathCopy shares by. Anything else is copied by
+// Freeze: a published snapshot root, an interior node, or a tree holding
+// nodes another index stamped.
 //
-// The caller must own doc exclusively: Seal is meant for the moment a
-// private, fully-built tree is about to be published (for example via an
-// atomic pointer), which is what makes the unsynchronized sealed reads
-// of the fast paths safe. Sealing a tree other goroutines already
-// evaluate is a data race.
-func Seal(doc *Node) *Index {
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	ix := doc.idx.Load()
-	if ix == nil || ix.Root != doc {
-		ix = indexWithLocked(doc, NewSymbols())
-	}
-	ix.sealed = true
-	if ix.Live == 0 {
-		ix.Live = ix.NumNodes
-	}
-	// One walk while the whole tree is at hand collects the planner's
-	// statistics (instead of a lazy walk on the first planned evaluation)
-	// and decides whether the snapshot can head a version chain: PathCopy
-	// shares by membership, so every reachable node must be owned by ix.
-	// Trees containing foreign sealed subtrees stay chainless.
-	if ix.chain == nil {
-		s, foreign := recount(ix)
-		ix.stats.Store(s)
-		if foreign == 0 {
+// The caller hands doc over: it must be private (no other goroutine holds
+// it) and is never touched again except through the returned root.
+func Adopt(doc *Node) (*Node, *Index, CopyStats) {
+	ix := EnsureIndex(doc)
+	if ix.Root == doc && ix.chain == nil {
+		if s, foreign := recount(ix); foreign == 0 {
+			ix.Live = ix.NumNodes
+			ix.stats.Store(s)
 			ix.chain = &chainID{}
+			return doc, ix, CopyStats{}
 		}
 	}
-	return ix
+	return Freeze(doc, ix)
 }
 
 // IndexBuilder stamps ordinals incrementally while a tree is being
@@ -248,10 +190,10 @@ func NewIndexBuilder(syms *Symbols, internAttrs bool) *IndexBuilder {
 
 // Add stamps n with the next preorder ordinal. Nodes must be added in
 // document order (each node before its children, siblings left to right —
-// exactly the SAX event order of start tags and text runs).
+// exactly the SAX event order of start tags and text runs). The first
+// node added is the document node; its stamp waits for Finish.
 func (b *IndexBuilder) Add(n *Node) {
 	n.ord = b.next
-	n.idx.Store(b.ix)
 	b.next++
 	if n.Kind == Element {
 		if !b.syms.covers(n.Sym, n.Label) {
@@ -263,37 +205,23 @@ func (b *IndexBuilder) Add(n *Node) {
 			}
 		}
 	}
+	if b.ix.Root == nil {
+		b.ix.Root = n
+		return
+	}
+	n.idx.Store(b.ix)
 }
 
 // Finish freezes the symbol table and publishes the index on doc, which
 // must be the first node that was added.
 func (b *IndexBuilder) Finish(doc *Node) *Index {
-	b.ix.Root = doc
 	b.ix.NumNodes = int(b.next)
-	indexMu.Lock()
 	doc.idx.Store(b.ix)
-	indexMu.Unlock()
 	return b.ix
 }
 
-// DropIndex detaches doc's cached index, forcing the next EnsureIndex to
-// rebuild it. Callers that mutate an indexed tree in place (the
-// copy-and-update baseline) drop the index afterwards, since ordinals and
-// the symbol table no longer describe the mutated structure. Dropping a
-// sealed index is a no-op: sealed trees are immutable, so their index
-// never goes stale (and in-place mutation of them is rejected upstream).
-func DropIndex(doc *Node) {
-	indexMu.Lock()
-	defer indexMu.Unlock()
-	if ix := doc.idx.Load(); ix != nil && ix.sealed {
-		return
-	}
-	doc.idx.Store(nil)
-}
-
 // OrdOf returns n's preorder ordinal and whether n is a member of this
-// index. Nodes of other documents — including nodes this document shares
-// with a more recently indexed tree — report false, which the evaluators
+// index. Nodes another index stamped report false, which the evaluators
 // treat as "use the slow path".
 //
 // For a path-copied version chain, nodes stamped by an ancestor version
@@ -326,8 +254,8 @@ func (ix *Index) Contains(n *Node) bool {
 // SymOf returns n's label symbol in this index's table. For members —
 // including nodes stamped by an ancestor version of the same chain,
 // whose ids are stable because the chain's table only grows — the
-// stamped Sym is trusted; foreign nodes (shared subtrees stolen by a
-// more recent indexing, whose Sym fields point into another table) are
+// stamped Sym is trusted; foreign nodes (shared subtrees another index
+// stamped first, whose Sym fields point into that index's table) are
 // resolved by name — NoSym when this table has never seen the label.
 // Evaluators must use this, never a raw n.Sym, when stepping automata
 // bound to ix.Syms: symbol ids are only comparable within one table.

@@ -9,7 +9,11 @@
 // Nodes are treated as immutable once built, which lets the topDown
 // evaluator share unmodified subtrees between the input and the output of a
 // transform query. The only code that mutates nodes in place is the
-// copy-and-update baseline, which always works on a private deep copy.
+// copy-and-update baseline, which always works on a private deep copy that
+// it never indexes. Indexing follows the same rule: a node's index stamp
+// (ordinal and owning Index) is written at most once and never overwritten
+// or cleared, so trees that share subtrees can be indexed and evaluated
+// from any number of goroutines.
 package tree
 
 import (
@@ -63,11 +67,10 @@ type Node struct {
 	Children []*Node // ordered children; empty for text nodes
 
 	// ord and idx are the node's preorder ordinal and owning Index; they
-	// are stamped by indexing (see index.go) and read through
-	// Index.OrdOf, which validates ownership. idx is atomic so the
-	// sealed-snapshot fast path of EnsureIndex can read it without the
-	// package mutex while another tree that shares nodes is being
-	// indexed.
+	// are stamped at most once, by whichever index reaches the node
+	// first (see index.go), and read through Index.OrdOf, which validates
+	// ownership. idx is atomic and written after ord and Sym, so a reader
+	// that loads the stamp sees the ordinal and symbol it vouches for.
 	ord int32
 	idx atomic.Pointer[Index]
 }

@@ -2,7 +2,7 @@ package tree
 
 // PathCopy is the persistent (shared-structure) commit path of the
 // versioned store: given the result of evaluating an update over a
-// sealed snapshot — a tree whose untouched subtrees are the previous
+// snapshot — a tree whose untouched subtrees are the previous
 // version's own nodes, shared by reference — it adopts only the new
 // nodes (the spine from each change to the root, plus inserted
 // content) into the next version of the chain, aliasing everything
@@ -35,11 +35,10 @@ package tree
 // and twice the live count, PathCopy falls back to a full Freeze that
 // starts a fresh, dense chain, bounding ordinal-space growth.
 //
-// prev must be a sealed snapshot that owns its whole tree (Freeze,
-// PathCopy, or Seal over a fully owned tree); anything else falls back
-// to Freeze.
+// prev must head or extend a version chain (Adopt, Freeze or PathCopy);
+// anything else falls back to Freeze.
 func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
-	if prev == nil || !prev.sealed || prev.chain == nil {
+	if prev == nil || prev.chain == nil {
 		return Freeze(out, prev)
 	}
 	if prev.Contains(out) {
@@ -56,8 +55,8 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 	// then pins its birth version's membership and nothing more; through
 	// a Root it would pin that version's spine, whose aliased children
 	// pin the version before, and so on down the whole history.
-	ix := &Index{sealed: true, chain: prev.chain, epoch: prev.epoch + 1}
-	member := &Index{sealed: true, chain: ix.chain, epoch: ix.epoch}
+	ix := &Index{chain: prev.chain, epoch: prev.epoch + 1}
+	member := &Index{chain: ix.chain, epoch: ix.epoch}
 	// The chain's symbol table is reused by pointer while the commit
 	// introduces no new labels or attribute names, so symbol ids stay
 	// comparable across every version of the chain; the first genuinely
@@ -88,7 +87,7 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		stats CopyStats
 		next  = int32(prev.NumNodes)
 	)
-	alloc := func(src *Node, depth int32) *Node {
+	alloc := func(src *Node, depth int32, stamp *Index) *Node {
 		dst := new(Node)
 		dst.copyPayload(src)
 		stats.Nodes++
@@ -103,7 +102,7 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		}
 		dst.ord = next
 		next++
-		dst.idx.Store(member)
+		dst.idx.Store(stamp)
 		ns.add(dst, depth)
 		return dst
 	}
@@ -113,8 +112,7 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		dst   *Node // its copy
 		depth int32
 	}
-	root := alloc(out, 0)
-	root.idx.Store(ix)
+	root := alloc(out, 0, ix)
 	stack := []frame{{out, root, 0}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
@@ -131,7 +129,7 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 				kept[ch] = struct{}{}
 				continue
 			}
-			f.dst.Children[i] = alloc(ch, f.depth+1)
+			f.dst.Children[i] = alloc(ch, f.depth+1, member)
 		}
 		// New children get frames, pushed in reverse so they pop in
 		// document order.

@@ -423,8 +423,8 @@ func TestFreezeStartsDenseChain(t *testing.T) {
 	src := buildTestDoc()
 	src.Root().Children[0].Attrs = []Attr{{Name: "id", Value: "1"}}
 	root, ix, stats := Freeze(src, nil)
-	if ix.chain == nil || !ix.Sealed() {
-		t.Fatal("freeze did not start a sealed chain")
+	if ix.chain == nil {
+		t.Fatal("freeze did not start a chain")
 	}
 	if ix.NumNodes != root.Size() || ix.Live != ix.NumNodes || stats.Nodes != ix.NumNodes {
 		t.Fatalf("width %d live %d copied %d, want all %d", ix.NumNodes, ix.Live, stats.Nodes, root.Size())
@@ -446,37 +446,47 @@ func TestFreezeStartsDenseChain(t *testing.T) {
 	}
 }
 
-// TestSealStartsChain: sealing a fully owned tree makes it a chain head
-// that PathCopy extends by sharing; a tree that reaches into another
-// sealed snapshot stays chainless and is adopted by a full Freeze.
-func TestSealStartsChain(t *testing.T) {
+// TestAdoptStartsChain: adopting a fully owned tree makes it, in place,
+// a chain head that PathCopy extends by sharing. Anything else — a tree
+// that reaches into another document's nodes, a published snapshot root,
+// an interior node — is copied by Freeze into a fresh chain instead.
+func TestAdoptStartsChain(t *testing.T) {
 	doc := buildTestDoc()
-	ix := Seal(doc)
+	root, ix, cs := Adopt(doc)
+	if root != doc || cs.Nodes != 0 || IndexOf(doc) != ix {
+		t.Fatalf("owned tree was not adopted in place: copied %d", cs.Nodes)
+	}
 	if ix.chain == nil {
-		t.Fatal("Seal did not start a chain for a fully owned tree")
+		t.Fatal("Adopt did not start a chain for a fully owned tree")
 	}
 	if ix.Live != ix.NumNodes {
 		t.Fatalf("Live = %d, want %d", ix.Live, ix.NumNodes)
 	}
-	checkVersion(t, "seal", ix)
+	checkVersion(t, "adopt", ix)
 	out := renameOut(t, doc, doc.Root().Children[0], "renamed")
 	newRoot, nix, stats := PathCopy(out, ix)
 	if nix.chain != ix.chain || stats.Nodes != 3 || newRoot.Root().Children[1] != doc.Root().Children[1] {
-		t.Fatalf("path copy over a sealed parse did not share: %+v", stats)
+		t.Fatalf("path copy over an adopted parse did not share: %+v", stats)
 	}
 
 	mixed := NewDocument(NewElement("wrap", doc.Root().Children[1], NewElement("own")))
-	mix := Seal(mixed)
-	if mix.chain != nil {
-		t.Fatal("tree with a foreign sealed subtree started a chain")
+	mroot, mix, mcs := Adopt(mixed)
+	if mroot == mixed || mcs.Nodes != mixed.Size() || mix.chain == nil || mix.chain == ix.chain {
+		t.Fatalf("tree with a foreign subtree was not frozen into a fresh chain: %+v", mcs)
 	}
-	out2 := renameOut(t, mixed, mixed.Root().Children[1], "mine")
-	r2, ix2, stats2 := PathCopy(out2, mix)
-	if ix2.chain == nil || stats2.Nodes != r2.Size() {
-		t.Fatalf("chainless base was not adopted by a full Freeze: %+v", stats2)
+	if !ix.Contains(doc.Root().Children[1]) {
+		t.Fatal("adopting a sharing tree restamped the other document's nodes")
 	}
-	if r2.String() != out2.String() {
+	if mroot.String() != mixed.String() {
 		t.Fatal("Freeze fallback changed the document")
+	}
+	checkVersion(t, "adopt-mixed", mix)
+
+	for name, n := range map[string]*Node{"snapshot root": newRoot, "interior": doc.Root()} {
+		r, rix, rcs := Adopt(n)
+		if r == n || rcs.Nodes != n.Size() || rix.chain == nil || rix.chain == ix.chain {
+			t.Fatalf("%s was adopted in place instead of frozen: %+v", name, rcs)
+		}
 	}
 }
 

@@ -3,15 +3,16 @@ package tree
 import "unsafe"
 
 // This file holds the freeze half of the versioned document store's
-// snapshot machinery: adopting an arbitrary tree into a fresh, fully
-// owned, sealed snapshot that starts a new version chain. Commits
-// against an existing chain take the cheap path instead — PathCopy
-// (persist.go) copies only the spine the update touched and shares
-// every other subtree with the previous version by reference. Freeze
-// remains the Θ(|T|) entry point: first ingestion of a document,
-// adoption of trees that share nodes with other sealed snapshots, and
-// the compaction fallback that renumbers a chain whose ordinal space
-// has grown past twice its live size.
+// snapshot machinery: copying an arbitrary tree into a fresh, fully
+// owned snapshot that starts a new version chain. Commits against an
+// existing chain take the cheap path instead — PathCopy (persist.go)
+// copies only the spine the update touched and shares every other
+// subtree with the previous version by reference — and a freshly parsed
+// tree is adopted in place (Adopt, index.go). Freeze remains the Θ(|T|)
+// entry point: ingestion of a tree the caller keeps, of a tree that
+// shares nodes with other documents, and the compaction fallback that
+// renumbers a chain whose ordinal space has grown past twice its live
+// size.
 
 // CopyStats reports the work of one Freeze or PathCopy.
 type CopyStats struct {
@@ -83,7 +84,7 @@ func (dst *Node) copyPayload(src *Node) {
 
 // Freeze deep-copies the subtree rooted at src into a fresh, arena-
 // backed tree that shares no nodes with any other document, indexing
-// and sealing it in the same pass: every copied node is stamped with
+// it in the same pass: every copied node is stamped with
 // its preorder ordinal, labels and attribute names are interned, and
 // the resulting index starts a new version chain — ready to be
 // published (via an atomic pointer) to lock-free readers and to serve
@@ -96,7 +97,7 @@ func (dst *Node) copyPayload(src *Node) {
 // how many source nodes base owns (CopyStats.SharedWithBase).
 //
 // src itself is only read, never written, so it may share subtrees with
-// a live sealed snapshot (the intended input is exactly the structurally
+// a live snapshot (the intended input is exactly the structurally
 // sharing result of evaluating an update over one).
 func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 	syms := NewSymbols()
@@ -104,7 +105,7 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 		syms = base.Syms.Clone()
 	}
 	var stats CopyStats
-	ix := &Index{Syms: syms, sealed: true, chain: &chainID{}}
+	ix := &Index{Syms: syms, chain: &chainID{}}
 	ns := &Stats{PerSym: make([]int32, syms.Len()), Gen: statsGen.Add(1)}
 	var ar arena
 	ord := int32(0)
@@ -132,7 +133,6 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 			f.parent.Children[f.slot] = n
 		}
 		n.ord = ord
-		n.idx.Store(ix)
 		ord++
 		stats.Nodes++
 		stats.Bytes += nodeBytes + int64(len(n.Attrs))*attrBytes
@@ -144,6 +144,7 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 				syms.Intern(n.Attrs[i].Name)
 			}
 		}
+		n.idx.Store(ix)
 		ns.add(n, f.depth)
 		if base != nil && base.Contains(f.src) {
 			stats.SharedWithBase++
@@ -163,23 +164,4 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 	ix.Live = int(ord)
 	ix.stats.Store(ns)
 	return root, ix, stats
-}
-
-// SealedOwner scans the subtree rooted at doc and returns the sealed
-// index owning the first node it finds that belongs to one, or nil when
-// no node of the tree is part of a sealed snapshot. In-place mutation
-// (core's Update.Apply) uses it to fail fast instead of corrupting a
-// snapshot that live readers are evaluating against.
-func SealedOwner(doc *Node) *Index {
-	stack := make([]*Node, 0, 64)
-	stack = append(stack, doc)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if ix := n.idx.Load(); ix != nil && ix.sealed {
-			return ix
-		}
-		stack = append(stack, n.Children...)
-	}
-	return nil
 }

@@ -32,8 +32,8 @@ func TestFreezeStructureAndIndependence(t *testing.T) {
 	if SharedNodes(src, root) != 0 {
 		t.Fatal("snapshot copy shares nodes with its source")
 	}
-	if !ix.Sealed() {
-		t.Fatal("snapshot index not sealed")
+	if ix.chain == nil {
+		t.Fatal("snapshot index heads no version chain")
 	}
 	if ix.Root != root {
 		t.Fatal("index root is not the copy")
@@ -46,7 +46,7 @@ func TestFreezeStructureAndIndependence(t *testing.T) {
 	}
 	// The published index is the one EnsureIndex serves, lock-free.
 	if got := EnsureIndex(root); got != ix {
-		t.Fatal("EnsureIndex does not return the sealed index")
+		t.Fatal("EnsureIndex does not return the snapshot index")
 	}
 	// The source document's own index is untouched.
 	if got := IndexOf(src); got == nil || got == ix {
@@ -96,146 +96,135 @@ func TestFreezeClonesBaseSymbols(t *testing.T) {
 			t.Fatalf("symbol %q: clone id %d, base id %d", name, got, want)
 		}
 	}
-	// New labels intern into the clone without touching the base.
-	el := root.Root()
-	el.Children = append(el.Children, NewElement("brandnew"))
-	// (mutating our private copy pre-publication is fine; re-walk interns)
-	if ix.Syms.Lookup("brandnew") != NoSym {
-		t.Fatal("unexpected interning") // sanity: not interned by append alone
+	if !Equal(root, src) {
+		t.Fatal("copy differs from its source")
 	}
 }
 
-// TestIndexingSkipsSealedSubtrees pins the no-stealing rule: indexing a
-// tree that shares subtrees with a sealed snapshot leaves the shared
-// nodes owned by the snapshot and simply does not cover them.
+// owners returns the two kinds of index a shared subtree can belong to:
+// a frozen snapshot and a plain evaluation index over a hand-built tree.
+func owners() map[string]func() (*Node, *Index) {
+	return map[string]func() (*Node, *Index){
+		"frozen": func() (*Node, *Index) {
+			root, ix, _ := Freeze(buildTestDoc(), nil)
+			return root, ix
+		},
+		"plain": func() (*Node, *Index) {
+			doc := buildTestDoc()
+			return doc, EnsureIndex(doc)
+		},
+	}
+}
+
+// TestIndexingSkipsSealedSubtrees pins the write-once stamp rule:
+// indexing a tree that shares subtrees with an indexed document — a
+// frozen snapshot or a plain one — leaves the shared nodes with their
+// owner and simply does not cover them.
 func TestIndexingSkipsSealedSubtrees(t *testing.T) {
-	src := buildTestDoc()
-	snapRoot, snapIx, _ := Freeze(src, nil)
+	for name, build := range owners() {
+		t.Run(name, func(t *testing.T) {
+			ownerRoot, ownerIx := build()
+			// Build a tree that shares the owner's first <part> subtree.
+			sharedPart := ownerRoot.Root().Children[0]
+			mixed := NewDocument(NewElement("db", sharedPart, NewElement("extra")))
 
-	// Build a tree that shares the snapshot's first <part> subtree.
-	sharedPart := snapRoot.Root().Children[0]
-	mixed := NewDocument(NewElement("db", sharedPart, NewElement("extra")))
+			ix := EnsureIndex(mixed)
+			if ix == ownerIx {
+				t.Fatal("EnsureIndex returned the owner's index for a different root")
+			}
+			// The shared subtree still belongs to its owner.
+			if !ownerIx.Contains(sharedPart) {
+				t.Fatal("owned node was restamped by re-indexing")
+			}
+			if _, ok := ix.OrdOf(sharedPart); ok {
+				t.Fatal("new index claims membership of an owned node")
+			}
+			// Fresh nodes are covered.
+			extra := mixed.Root().Children[1]
+			if _, ok := ix.OrdOf(extra); !ok {
+				t.Fatal("fresh sibling of an owned subtree was not indexed")
+			}
+			// And the owner's own lookups still work, for every node.
+			if got := countOwned(ownerIx, ownerRoot); got != ownerIx.NumNodes {
+				t.Fatalf("owner keeps %d of its %d nodes", got, ownerIx.NumNodes)
+			}
+			if IndexOf(ownerRoot) != ownerIx {
+				t.Fatal("owner's root index changed")
+			}
+		})
+	}
+}
 
-	ix := EnsureIndex(mixed)
-	if ix == snapIx {
-		t.Fatal("EnsureIndex returned the sealed index for a different root")
+// countOwned counts the nodes under root that ix reports as members.
+func countOwned(ix *Index, root *Node) int {
+	n := 0
+	stack := []*Node{root}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if ix.Contains(x) {
+			n++
+		}
+		stack = append(stack, x.Children...)
 	}
-	// The shared subtree still belongs to the snapshot.
-	if !snapIx.Contains(sharedPart) {
-		t.Fatal("sealed node was stolen by re-indexing")
-	}
-	if _, ok := ix.OrdOf(sharedPart); ok {
-		t.Fatal("new index claims membership of a sealed node")
-	}
-	// Fresh nodes are covered.
-	extra := mixed.Root().Children[1]
-	if _, ok := ix.OrdOf(extra); !ok {
-		t.Fatal("fresh sibling of a sealed subtree was not indexed")
-	}
-	// And the snapshot's own lookups still work.
-	if _, ok := snapIx.OrdOf(sharedPart); !ok {
-		t.Fatal("sealed membership lost")
-	}
+	return n
 }
 
 func TestEnsureIndexOnSealedInteriorReturnsOwner(t *testing.T) {
-	src := buildTestDoc()
-	snapRoot, snapIx, _ := Freeze(src, nil)
-	part := snapRoot.Root().Children[0]
-	if got := EnsureIndex(part); got != snapIx {
-		t.Fatalf("EnsureIndex(interior) = %p, want owner %p", got, snapIx)
-	}
-}
-
-func TestDropIndexIsNoOpOnSealed(t *testing.T) {
-	src := buildTestDoc()
-	root, ix, _ := Freeze(src, nil)
-	DropIndex(root)
-	if got := IndexOf(root); got != ix {
-		t.Fatal("DropIndex removed a sealed index")
-	}
-}
-
-func TestSealBuildsAndPins(t *testing.T) {
-	doc := buildTestDoc()
-	ix := Seal(doc)
-	if !ix.Sealed() || ix.Root != doc || ix.NumNodes != doc.Size() {
-		t.Fatalf("Seal: sealed=%v root-ok=%v nodes=%d", ix.Sealed(), ix.Root == doc, ix.NumNodes)
-	}
-	if EnsureIndex(doc) != ix {
-		t.Fatal("EnsureIndex rebuilt a sealed index")
-	}
-	// Sealing an already-indexed document seals that index in place.
-	doc2 := buildTestDoc()
-	pre := EnsureIndex(doc2)
-	if Seal(doc2) != pre {
-		t.Fatal("Seal rebuilt an existing owned index")
-	}
-	if !pre.Sealed() {
-		t.Fatal("existing index not sealed")
-	}
-}
-
-func TestSealedOwner(t *testing.T) {
-	plain := buildTestDoc()
-	if SealedOwner(plain) != nil {
-		t.Fatal("unindexed tree reported a sealed owner")
-	}
-	EnsureIndex(plain)
-	if SealedOwner(plain) != nil {
-		t.Fatal("unsealed indexed tree reported a sealed owner")
-	}
-
-	src := buildTestDoc()
-	snapRoot, snapIx, _ := Freeze(src, nil)
-	if SealedOwner(snapRoot) != snapIx {
-		t.Fatal("sealed root not detected")
-	}
-	// Sharing case: a fresh spine over a sealed subtree.
-	mixed := NewDocument(NewElement("wrap", snapRoot.Root().Children[0]))
-	if SealedOwner(mixed) != snapIx {
-		t.Fatal("sealed subtree under fresh spine not detected")
+	for name, build := range owners() {
+		t.Run(name, func(t *testing.T) {
+			root, ix := build()
+			part := root.Root().Children[0]
+			if got := EnsureIndex(part); got != ix {
+				t.Fatalf("EnsureIndex(interior) = %p, want owner %p", got, ix)
+			}
+		})
 	}
 }
 
 // TestSealedConcurrentEnsureWhileIndexingSharingTree is the race-detector
-// teeth of the sealed discipline: readers resolve a sealed snapshot's
-// index lock-free while another goroutine indexes a tree sharing nodes
-// with the snapshot. Without the sealed skip (or with a non-atomic idx
-// field) this test fails under -race.
+// teeth of the write-once stamp rule: readers resolve an indexed
+// document's index lock-free and read its members' ordinals and symbols
+// while another goroutine indexes trees sharing nodes with it. If
+// indexing ever restamped a shared node (or idx were not atomic), this
+// test would fail under -race, and membership checks would fail without
+// it.
 func TestSealedConcurrentEnsureWhileIndexingSharingTree(t *testing.T) {
-	src := buildTestDoc()
-	snapRoot, snapIx, _ := Freeze(src, nil)
-	part := snapRoot.Root().Children[0]
+	for name, build := range owners() {
+		t.Run(name, func(t *testing.T) {
+			root, ix := build()
+			part := root.Root().Children[0]
+			partSym := ix.SymOf(part)
 
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for j := 0; j < 200; j++ {
-				if EnsureIndex(snapRoot) != snapIx {
-					panic("sealed index changed")
-				}
-				if _, ok := snapIx.OrdOf(part); !ok {
-					panic("sealed membership lost")
-				}
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := 0; i < 4; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for j := 0; j < 200; j++ {
+						_, member := ix.OrdOf(part)
+						if EnsureIndex(root) != ix || EnsureIndex(part) != ix || !member || ix.SymOf(part) != partSym {
+							t.Error("owner index, membership or symbol changed under concurrent indexing")
+							return
+						}
+					}
+				}()
 			}
-		}()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for j := 0; j < 50; j++ {
+					mixed := NewDocument(NewElement("db", NewElement("extra"), part))
+					EnsureIndex(mixed)
+				}
+			}()
+			close(start)
+			wg.Wait()
+		})
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for j := 0; j < 50; j++ {
-			mixed := NewDocument(NewElement("db", part, NewElement("extra")))
-			EnsureIndex(mixed)
-		}
-	}()
-	close(start)
-	wg.Wait()
 }
 
 func TestFreezeDeepChain(t *testing.T) {

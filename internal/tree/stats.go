@@ -3,7 +3,7 @@ package tree
 import "sync/atomic"
 
 // This file holds the statistics half of the planning subsystem: every
-// sealed snapshot carries per-document statistics — node counts per
+// store snapshot carries per-document statistics — node counts per
 // label symbol, a depth histogram, totals — collected in one pass over
 // the tree when the snapshot is built and maintained in O(|delta|)
 // across PathCopy commits, so the cost-based method planner
@@ -42,8 +42,8 @@ type Stats struct {
 	Depth [DepthBuckets]int32
 	// PerSym counts live element nodes per label symbol, indexed by
 	// SymID against the snapshot's table. Elements whose label the
-	// table has never interned (foreign sealed subtrees) are counted in
-	// Elems but not here.
+	// table has never interned (in subtrees another index owns) are
+	// counted in Elems but not here.
 	PerSym []int32
 	// Gen is the fingerprint of this record: a process-unique
 	// generation assigned when the record is built, so (query, Gen)
@@ -120,7 +120,7 @@ func (s *Stats) count(n *Node, depth, d int32) {
 }
 
 // Stats returns the document's statistics, computing and caching them
-// on first use. Sealed snapshots built by Seal, Freeze or PathCopy
+// on first use. Chain members built by Adopt, Freeze or PathCopy
 // carry them eagerly; plain evaluation indexes pay one walk on first
 // request and serve the cached record afterwards.
 func (ix *Index) Stats() *Stats {
@@ -135,10 +135,10 @@ func (ix *Index) Stats() *Stats {
 }
 
 // recount walks the live tree from the root, building a fresh record
-// and counting the reachable nodes ix does not own (foreign sealed
-// subtrees, which indexing skips) — the path for plain evaluation
-// indexes and Seal, and the from-scratch oracle the incremental
-// maintenance is tested against.
+// and counting the reachable nodes ix does not own (subtrees another
+// index stamped first, which indexing skips) — the path for plain
+// evaluation indexes and Adopt, and the from-scratch oracle the
+// incremental maintenance is tested against.
 func recount(ix *Index) (s *Stats, foreign int) {
 	s = &Stats{PerSym: make([]int32, ix.Syms.Len()), Gen: statsGen.Add(1)}
 	type frame struct {
@@ -160,9 +160,8 @@ func recount(ix *Index) (s *Stats, foreign int) {
 		switch n.Kind {
 		case Element:
 			s.Elems++
-			// SymOf resolves nodes owned by foreign sealed snapshots by
-			// name; labels this table never interned count into Elems
-			// only.
+			// SymOf resolves nodes another index owns by name;
+			// labels this table never interned count into Elems only.
 			s.bump(ix.SymOf(n), 1)
 		case Text:
 			s.Texts++

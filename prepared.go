@@ -42,14 +42,10 @@ func (p *Prepared) String() string { return p.compiled.Query.String() }
 //
 // Concurrency: a document is indexed on its first evaluation (dense
 // symbol/ordinal bookkeeping stamped onto its nodes, built exactly once
-// under a lock). Concurrent evaluations of the same document, or of
-// documents that share no nodes, are always safe. The one unsafe pattern
-// is indexing a not-yet-evaluated tree that shares subtrees with a
-// document another goroutine is concurrently evaluating — e.g. a result
-// tree (which shares unmodified subtrees with its input) evaluated for
-// the first time while the original input is still being evaluated
-// elsewhere. Evaluate derived trees from one goroutine first (any later
-// use is fine), or deep-copy them.
+// under a lock). A node's stamp is never rewritten, so concurrent
+// evaluations of any documents — including result trees that share
+// subtrees with an input other goroutines are still evaluating — are
+// safe.
 func (p *Prepared) Eval(ctx context.Context, src Source) (*Node, error) {
 	return p.evalMethod(ctx, src, p.eng.method)
 }
@@ -98,18 +94,15 @@ func (p *Prepared) evalMethod(ctx context.Context, src Source, m Method) (*Node,
 		if pt != nil {
 			tr.SetPlan(pt)
 		}
-		if ix := tree.IndexOf(doc); ix != nil {
-			// O(1) from the index instead of the O(n) subtree walk —
-			// sealed snapshots track their live count, plain indexes
-			// their width.
-			if n := ix.Live; n > 0 {
-				tr.SetDocNodes(n)
-			} else {
-				tr.SetDocNodes(ix.NumNodes)
-			}
+		if ix := tree.IndexOf(doc); ix != nil && ix.Live > 0 {
+			// O(1) for a chain head (a store snapshot), which owns and
+			// counts every node it reaches.
+			tr.SetDocNodes(ix.Live)
 		} else {
+			// A plain index may not cover its whole tree (a derived tree
+			// shares subtrees other indexes own), so count the nodes.
 			// Deferred: only a trace that is actually rendered
-			// (?explain=1, a slow-query line) pays for the O(n) count.
+			// (?explain=1, a slow-query line) pays for the O(n) walk.
 			tr.SetDocNodesFunc(doc.Size)
 		}
 	}

@@ -213,8 +213,8 @@ func (s *Store) Put(ctx context.Context, name string, src Source) (*Snapshot, Co
 		return snap, com, classify(err, KindEval)
 	}
 	// A *Snapshot source needs no branch of its own: parse unwraps it to
-	// its sealed root, and the store's adopt path detects the sealed
-	// owner and snapshot-copies (seeding the symbol table from it).
+	// its root, which already heads a version chain, so tree.Adopt
+	// copies it (seeding the symbol table from its index).
 	doc, err := s.eng.parse(ctx, src)
 	if err != nil {
 		return nil, Commit{}, err

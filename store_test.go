@@ -119,7 +119,7 @@ func TestStorePutDoesNotAliasCallerTree(t *testing.T) {
 	if com.CopiedNodes == 0 || snap.Root() == doc {
 		t.Fatal("caller tree was adopted, not copied")
 	}
-	// The caller's tree still takes in-place updates (it is not sealed).
+	// The caller's tree stays evaluable by every method.
 	p, err := xtq.NewEngine(xtq.WithMethod(xtq.MethodCopyUpdate)).Prepare(
 		`transform copy $a := doc("d") modify do delete $a//price return $a`)
 	if err != nil {

@@ -57,3 +57,39 @@ func TestEvalTrace(t *testing.T) {
 		t.Fatalf("re-prepare: hit=%v known=%v, want hit", hit, known)
 	}
 }
+
+// TestEvalTraceDocNodesOverDerivedTree: a tree derived from a store
+// snapshot shares most of its nodes with the snapshot, whose index keeps
+// them, so the derived tree's own index covers only its new spine. The
+// traced document size must still count every node of the tree.
+func TestEvalTraceDocNodesOverDerivedTree(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(WithMethod(MethodTopDown))
+	st := NewStore(eng)
+	xml := `<db><part><pname>kb</pname><price>9</price></part><part><pname>mouse</pname><price>5</price></part></db>`
+	snap, _, err := st.Put(ctx, "d", FromString(xml))
+	if err != nil {
+		t.Fatal(err)
+	}
+	derive, err := eng.Prepare(`transform copy $a := doc("d") modify do rename $a/db/part[pname = "kb"] as item return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, err := derive.Eval(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := eng.Prepare(`transform copy $a := doc("d") modify do delete $a//price return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*Node{derived, snap.Root()} {
+		tr := obs.NewTrace()
+		if _, err := p.Eval(obs.WithTrace(ctx, tr), d); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.DocNodes(), d.Size(); got != want {
+			t.Errorf("traced doc nodes = %d, want %d", got, want)
+		}
+	}
+}
