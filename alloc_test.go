@@ -137,7 +137,7 @@ func TestEmitAllocs(t *testing.T) {
 // TestTracedEvalDocNodesAllocs pins the explain path's document-size
 // accounting over a sealed snapshot: the doc-node count is served from
 // the index's live count in O(1), and the whole traced evaluation —
-// trace bookkeeping, the planner section, reading DocNodes back — may
+// trace bookkeeping, reading DocNodes back — may
 // add only a constant number of allocations over the untraced pin.
 // A regression that reintroduces the O(n) subtree walk (or any other
 // per-node work on the trace path) shows up as document-proportional
@@ -187,12 +187,12 @@ func TestTracedEvalDocNodesAllocs(t *testing.T) {
 // copy, link into the version chain — on the 640-element document.
 // The alternating rename touches nine items (one per section), so the
 // path copy rebuilds a ~20-node spine — one allocation per node, one
-// child slice per spine node, two index stamps, one statistics record —
-// and shares everything else with the previous version by reference.
-// Measured 444 allocations per commit (489 with the former column
-// core), dominated by evaluation; the bound has headroom for runtime
-// drift but is far below what a whole-tree copy per commit costs on
-// this document.
+// child slice per spine node, two index stamps — and shares everything
+// else with the previous version by reference. Measured 449 allocations
+// per commit (451 with the former per-version planner statistics, 489
+// with the former column core), dominated by evaluation; the bound has
+// headroom for runtime drift but is far below what a whole-tree copy
+// per commit costs on this document.
 func TestPathCopyCommitAllocs(t *testing.T) {
 	ctx := context.Background()
 	st := NewStore(nil)
@@ -225,12 +225,12 @@ func TestPathCopyCommitAllocs(t *testing.T) {
 }
 
 // TestCommitRetentionBounded pins what a long-lived writer retains: a
-// version in the history ring keeps its new nodes, their child slices,
-// its index and one statistics record — O(|delta|) — and a version that
-// has left the ring keeps nothing but the nodes still part of the
-// current document, so the live heap after thousands of constant-size
-// commits is the heap after warm-up plus at most HistoryDepth versions'
-// deltas per document, not a function of the commit count. (With the
+// version in the history ring keeps its new nodes, their child slices
+// and its index — O(|delta|) — and a version that has left the ring
+// keeps nothing but the nodes still part of the current document, so
+// the live heap after thousands of constant-size commits is the heap
+// after warm-up plus at most HistoryDepth versions' deltas per
+// document, not a function of the commit count. (With the
 // per-ordinal node column of the former column core every superseded
 // spine node — and through it that version's index — stayed reachable:
 // ~200 KB per commit on the large document here, ~55 KB on each small
@@ -265,7 +265,7 @@ func TestCommitRetentionBounded(t *testing.T) {
 		minCommits = 200
 		budget     = 1500 * time.Millisecond
 		slack      = 4 << 20 // GC timing, engine caches, the 64-event watch rings
-		perVersion = 1 << 10 // index + statistics record, not in CopiedBytes
+		perVersion = 1 << 10 // index stamps, not in CopiedBytes
 		depth      = store.DefaultHistoryDepth
 	)
 	liveHeap := func() uint64 {

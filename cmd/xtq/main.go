@@ -63,7 +63,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("xtq", flag.ContinueOnError)
 	in := fs.String("in", "", "input XML document (required)")
 	querySrc := fs.String("query", "", "transform query text, or @file to read it from a file (required)")
-	method := fs.String("method", "topdown", "evaluation method: naive|topdown|twopass|copyupdate|auto|sax (auto = cost-based planner)")
+	method := fs.String("method", "topdown", "evaluation method: naive|topdown|twopass|copyupdate|auto|sax (auto = topdown)")
 	user := fs.String("user", "", "user query composed over the transform's virtual view, e.g. 'for $x in /db/part return $x'")
 	out := fs.String("out", "", "output file (default: stdout)")
 	indent := fs.Bool("indent", false, "pretty-print the result (in-memory methods only)")

@@ -49,10 +49,9 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
-	method := flag.String("method", string(xtq.MethodTopDown),
-		"in-memory evaluation method ("+strings.Join(append(xtq.MethodNames(), string(xtq.MethodAuto)), ", ")+")")
-	planner := flag.Bool("planner", true,
-		"cost-based method planner: evaluate with method=auto (planned per query and document from its statistics) unless -method is set explicitly")
+	method := flag.String("method", string(xtq.MethodAuto),
+		"in-memory evaluation method ("+strings.Join(append(xtq.MethodNames(), string(xtq.MethodAuto)), ", ")+
+			"); auto runs topdown and reports the decision in ?explain=1 and xtq_plan_decisions_total")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request evaluation timeout (0 = none)")
 	maxBody := flag.Int64("maxbody", 64<<20, "maximum request body size in bytes")
 	maxDepth := flag.Int("maxdepth", 10_000, "maximum element nesting of ingested documents (0 = no limit)")
@@ -73,19 +72,6 @@ func main() {
 		"separate listen address for the net/http/pprof debug endpoints (empty = off)")
 	flag.Parse()
 	slow := time.Duration(*slowMS) * time.Millisecond
-
-	// The planner is the default: unless -method was given explicitly
-	// (an explicit method always wins, like ?method= per request), the
-	// serving engines run method=auto and plan per (query, document).
-	methodSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "method" {
-			methodSet = true
-		}
-	})
-	if *planner && !methodSet {
-		*method = string(xtq.MethodAuto)
-	}
 
 	if *route != "" && *follow != "" {
 		fmt.Fprintln(os.Stderr, "xtqd: -route and -follow are mutually exclusive")

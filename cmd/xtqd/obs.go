@@ -170,15 +170,10 @@ type explainMeta struct {
 	DocNodes     int   `json:"doc_nodes,omitempty"`
 	NodesVisited int   `json:"nodes_visited"`
 	ResultNodes  int   `json:"result_nodes,omitempty"`
-	// Plan is the planner section: the decision (method, estimated
-	// nodes/cost, reason) when the planner picked the method, or the
-	// would-have-been decision and the forced method's estimate when
-	// ?method= overrode it (plan.auto is false then, and PlannedMethod
-	// below names the planner's choice).
+	// Plan is the planner section when method=auto decided the method:
+	// the method it resolved to and the rule's name. A forced ?method=
+	// has none.
 	Plan *obs.PlanTrace `json:"plan,omitempty"`
-	// PlannedMethod is set only when a forced ?method= overrode the
-	// planner: the method the planner would have chosen.
-	PlannedMethod string `json:"planned_method,omitempty"`
 	// View is the materialized-view section when the request read one.
 	View *obs.ViewTrace `json:"view,omitempty"`
 	// Commit is the write-cost section when the request committed.
@@ -198,9 +193,6 @@ func explainFrom(tr *obs.Trace) explainMeta {
 		Plan:         tr.Plan(),
 		View:         tr.View(),
 		Commit:       tr.Commit(),
-	}
-	if p := out.Plan; p != nil && !p.Auto && p.Method != "" {
-		out.PlannedMethod = p.Method
 	}
 	if hit, known := tr.CacheHit(); known {
 		out.QueryCacheHit = &hit

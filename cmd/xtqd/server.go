@@ -69,7 +69,7 @@ func buildServer(st *xtq.Store, fol *xtq.Follower, timeout time.Duration, maxBod
 		heartbeat: heartbeat, slow: slow, engines: make(map[string]*xtq.Engine)}
 	// One engine per requestable method (?method= swaps engines, so a
 	// forced method never disturbs the serving engine's caches), plus
-	// the planner's auto.
+	// auto.
 	for _, m := range append(xtq.Methods(), xtq.MethodAuto) {
 		if m == st.Engine().Method() {
 			s.engines[string(m)] = st.Engine()
@@ -652,7 +652,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	versionHeaders(w, snap)
 	if tr := obs.TraceFrom(ctx); tr != nil && explainRequested(r) {
 		// ?explain=1 on a write swaps the bare commit body for the full
-		// trace rendering: method (planner-resolved under Auto), plan
+		// trace rendering: method (auto resolved to topdown), plan
 		// section and commit cost side by side.
 		out := explainFrom(tr)
 		out.Doc = name

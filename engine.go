@@ -3,18 +3,14 @@ package xtq
 import (
 	"container/list"
 	"context"
-	"strconv"
 	"sync"
 	"time"
 
 	"xtq/internal/core"
 	"xtq/internal/ivm"
 	"xtq/internal/obs"
-	"xtq/internal/plan"
 	"xtq/internal/sax"
-	"xtq/internal/stats"
 	"xtq/internal/store"
-	"xtq/internal/tree"
 )
 
 // DefaultQueryCacheSize is the compiled-query cache capacity of an Engine
@@ -33,14 +29,6 @@ const DefaultViewCacheSize = 64
 // with a fixed update vocabulary decides each (view, update) pair's
 // impact exactly once.
 const DefaultVerdictCacheSize = 512
-
-// DefaultDecisionCacheSize is the planner decision cache capacity of an
-// Engine built without WithDecisionCacheSize. Decisions are keyed by
-// (query source, statistics fingerprint), so an Auto engine evaluating
-// a fixed query set against a document version runs the cost model once
-// per (query, version-statistics) pair; a commit changes the
-// fingerprint and naturally invalidates every entry for the document.
-const DefaultDecisionCacheSize = 256
 
 // Engine is the long-lived entry point of the package, in the mould of
 // database/sql.DB: construct one per process (or per configuration),
@@ -61,14 +49,12 @@ type Engine struct {
 	method   Method
 	maxDepth int
 
-	queryCap    int
-	viewCap     int
-	verdictCap  int
-	decisionCap int
-	queries     *lruCache // *core.Compiled values
-	plans       *lruCache // *compose.Plan values
-	verdicts    *lruCache // ivm.Verdict values
-	decisions   *lruCache // plan.Decision values
+	queryCap   int
+	viewCap    int
+	verdictCap int
+	queries    *lruCache // *core.Compiled values
+	plans      *lruCache // *compose.Plan values
+	verdicts   *lruCache // ivm.Verdict values
 }
 
 // lruCache is a mutex-guarded LRU keyed by strings. The zero capacity
@@ -152,9 +138,9 @@ type Option func(*Engine)
 
 // WithMethod selects the in-memory evaluation method Prepared.Eval uses;
 // the default is MethodTopDown, the paper's best-performing general
-// method ("GENTOP"). MethodAuto (alias Auto) lets the cost-based
-// planner pick a concrete method per (query, document) from the
-// document's statistics instead.
+// method ("GENTOP"). MethodAuto (alias Auto) runs as MethodTopDown too,
+// and additionally reports the decision: a plan section in the request's
+// trace and a count in xtq_plan_decisions_total.
 func WithMethod(m Method) Option { return func(e *Engine) { e.method = m } }
 
 // WithQueryCacheSize sets the capacity of the compiled-query cache; zero
@@ -190,18 +176,6 @@ func WithVerdictCacheSize(n int) Option {
 	}
 }
 
-// WithDecisionCacheSize sets the capacity of the planner decision cache
-// an Auto engine consults per evaluation; zero disables caching (every
-// evaluation runs the cost model — it is cheap, but not free), negative
-// values leave the default in place.
-func WithDecisionCacheSize(n int) Option {
-	return func(e *Engine) {
-		if n >= 0 {
-			e.decisionCap = n
-		}
-	}
-}
-
 // WithMaxDepth bounds element nesting when the engine parses input
 // documents (Prepared.Eval over file/bytes/reader sources); zero, the
 // default, means no limit. Streaming evaluation is not affected: its
@@ -211,11 +185,10 @@ func WithMaxDepth(d int) Option { return func(e *Engine) { e.maxDepth = d } }
 // NewEngine builds an Engine from functional options.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		method:      MethodTopDown,
-		queryCap:    DefaultQueryCacheSize,
-		viewCap:     DefaultViewCacheSize,
-		verdictCap:  DefaultVerdictCacheSize,
-		decisionCap: DefaultDecisionCacheSize,
+		method:     MethodTopDown,
+		queryCap:   DefaultQueryCacheSize,
+		viewCap:    DefaultViewCacheSize,
+		verdictCap: DefaultVerdictCacheSize,
 	}
 	for _, o := range opts {
 		o(e)
@@ -223,7 +196,6 @@ func NewEngine(opts ...Option) *Engine {
 	e.queries = newLRUCache(e.queryCap, "query")
 	e.plans = newLRUCache(e.viewCap, "plan")
 	e.verdicts = newLRUCache(e.verdictCap, "verdict")
-	e.decisions = newLRUCache(e.decisionCap, "decision")
 	return e
 }
 
@@ -280,7 +252,7 @@ func (e *Engine) PrepareQuery(q *Query) (*Prepared, error) {
 		if cerr != nil {
 			return nil, classify(cerr, KindCompile)
 		}
-		return &Prepared{eng: e, src: key, compiled: c}, nil
+		return &Prepared{eng: e, compiled: c}, nil
 	}
 	return e.prepare(context.Background(), key, own.Compile)
 }
@@ -296,7 +268,7 @@ func (e *Engine) prepare(ctx context.Context, key string, compile func() (*core.
 		if tr != nil {
 			tr.SetCacheHit(true)
 		}
-		return &Prepared{eng: e, src: key, compiled: v.(*core.Compiled)}, nil
+		return &Prepared{eng: e, compiled: v.(*core.Compiled)}, nil
 	}
 	if tr != nil {
 		tr.SetCacheHit(false)
@@ -312,7 +284,7 @@ func (e *Engine) prepare(ctx context.Context, key string, compile func() (*core.
 		tr.AddCompile(d)
 	}
 	e.queries.add(key, c)
-	return &Prepared{eng: e, src: key, compiled: c}, nil
+	return &Prepared{eng: e, compiled: c}, nil
 }
 
 // CacheStats reports compiled-query cache effectiveness: hits and misses
@@ -333,31 +305,6 @@ func (e *Engine) ViewCacheStats() (hits, misses uint64, size int) {
 // cached (view stack, update) verdicts.
 func (e *Engine) VerdictCacheStats() (hits, misses uint64, size int) {
 	return e.verdicts.stats()
-}
-
-// DecisionCacheStats reports planner decision cache effectiveness:
-// hits and misses since the engine was built, and the current number of
-// cached (query, statistics-fingerprint) decisions.
-func (e *Engine) DecisionCacheStats() (hits, misses uint64, size int) {
-	return e.decisions.stats()
-}
-
-// decide resolves MethodAuto for one (prepared query, document) pair:
-// the document's statistics fingerprint keys the cached decision — a
-// commit bumps the fingerprint, so stale decisions age out of the LRU
-// on their own. The boolean reports a cache hit; hits still count into
-// the decisions metric (the planner resolved, however cheaply).
-func (e *Engine) decide(src string, c *core.Compiled, doc *Node) (plan.Decision, bool) {
-	ix := tree.EnsureIndex(doc)
-	key := src + "\x00" + strconv.FormatUint(stats.Of(ix).Fingerprint(), 10)
-	if v, ok := e.decisions.get(key); ok {
-		dec := v.(plan.Decision)
-		plan.RecordDecision(dec.Method)
-		return dec, true
-	}
-	dec := plan.Choose(c, ix)
-	e.decisions.add(key, dec)
-	return dec, false
 }
 
 // verdictCache adapts the engine's LRU to the maintenance layer's

@@ -295,64 +295,6 @@ func (m *NFA) EnteredQuals(s StateSet, label string) []int {
 	return out
 }
 
-// Transition is one consuming transition of the selecting NFA, in path
-// order — the planner's view of the automaton: which label each step
-// consumes, whether it fires at any depth (a '//' self-loop source) or
-// only one level down, and whether entering it checks a qualifier. The
-// cost estimator intersects these label tests with the per-symbol
-// counts of the document's statistics to estimate step cardinalities.
-type Transition struct {
-	// Label is the consumed element label; empty when Wild.
-	Label string
-	// Wild marks a '*' step consuming any element.
-	Wild bool
-	// Desc marks a transition out of a '//' self-loop state: it can
-	// fire at every depth below the previous frontier, so a guided
-	// walk must scan whole subtrees to feed it.
-	Desc bool
-	// Qualified reports whether the entered state carries a qualifier
-	// ([q] != [true]) that must hold at the consumed node.
-	Qualified bool
-	// Quals is the entered state's qualifier list (nil when
-	// Qualified is false), for estimators that want to weigh
-	// individual predicates.
-	Quals []xpath.Qual
-	// Final marks the transition into the accepting state: nodes
-	// consumed here (with the qualifier holding) are the selected set.
-	Final bool
-}
-
-// Transitions returns the NFA's consuming transitions in path order.
-// The selecting NFA of an X expression is a chain (ε-transitions only
-// insert '//' self-loop states), so the list is exactly the sequence of
-// label tests a document path must pass to be selected.
-func (m *NFA) Transitions() []Transition {
-	out := make([]Transition, 0, len(m.States))
-	cur := m.Start
-	for {
-		st := &m.States[cur]
-		if st.Eps >= 0 {
-			// The '//' step: descend into the self-loop state; the
-			// transition out of it is flagged Desc below.
-			cur = st.Eps
-			continue
-		}
-		if st.Next < 0 {
-			return out
-		}
-		nx := &m.States[st.Next]
-		out = append(out, Transition{
-			Label:     st.NextLabel,
-			Wild:      st.NextWild,
-			Desc:      st.SelfLoop,
-			Qualified: len(nx.Quals) > 0,
-			Quals:     nx.Quals,
-			Final:     nx.Final,
-		})
-		cur = st.Next
-	}
-}
-
 // String renders the automaton for diagnostics, in the spirit of Fig. 5.
 func (m *NFA) String() string {
 	var b strings.Builder

@@ -24,14 +24,22 @@ const (
 	// MethodCopyUpdate is the snapshot-and-update baseline
 	// ("GalaXUpdate").
 	MethodCopyUpdate Method = "copyupdate"
-	// MethodAuto is not an algorithm but a directive: let the
-	// cost-based planner (internal/plan) pick one of the concrete
-	// methods per (query, document version). Layers that hold document
-	// statistics (the engine facade, the store) resolve it before
-	// evaluation; EvalContext itself rejects it — by the time an
-	// evaluator runs, a concrete method must have been chosen.
+	// MethodAuto is not an algorithm but a directive: run the method
+	// the system recommends. It resolves to MethodTopDown (see
+	// Resolve), the paper's best general method (§7) and the fastest
+	// in-memory method in every cell of the Fig. 12/13 sweeps.
 	MethodAuto Method = "auto"
 )
+
+// Resolve returns the algorithm m runs as: MethodAuto and the zero
+// Method (a caller leaving the choice to the default) resolve to
+// MethodTopDown, every other method to itself.
+func Resolve(m Method) Method {
+	if m == MethodAuto || m == "" {
+		return MethodTopDown
+	}
+	return m
+}
 
 // Methods lists the in-memory evaluation methods in the order the paper's
 // figures report them. The streaming twoPassSAX method lives in the
@@ -83,7 +91,7 @@ func (c *Compiled) EvalContext(ctx context.Context, doc *tree.Node, m Method) (*
 	if ctx != nil && ctx.Err() != nil {
 		return nil, xerr.Wrap(xerr.Eval, ctx.Err())
 	}
-	switch m {
+	switch Resolve(m) {
 	case MethodNaive:
 		return EvalNaive(ctx, c, doc)
 	case MethodTopDown:
@@ -92,9 +100,6 @@ func (c *Compiled) EvalContext(ctx context.Context, doc *tree.Node, m Method) (*
 		return EvalTwoPass(ctx, c, doc)
 	case MethodCopyUpdate:
 		return EvalCopyUpdate(ctx, c, doc)
-	case MethodAuto:
-		return nil, xerr.New(xerr.Eval, "",
-			"core: method auto must be resolved by the planner before evaluation")
 	default:
 		return nil, unknownMethodErr(m)
 	}

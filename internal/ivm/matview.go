@@ -87,16 +87,12 @@ type Manager struct {
 }
 
 // NewManager returns a manager evaluating qualified stacks with the
-// given method. The manager evaluates layers below the planner, so the
-// auto directive is resolved to topdown here, as WAL and follower
-// replay do. cache, when non-nil, memoizes impact verdicts across
-// commits (keyed by canonical view and update renderings).
+// given method, resolved to a concrete one (core.Resolve). cache, when
+// non-nil, memoizes impact verdicts across commits (keyed by canonical
+// view and update renderings).
 func NewManager(method core.Method, cache VerdictCache) *Manager {
-	if method == "" || method == core.MethodAuto {
-		method = core.MethodTopDown
-	}
 	return &Manager{
-		method: method,
+		method: core.Resolve(method),
 		cache:  cache,
 		views:  make(map[string]*viewDef),
 		mats:   make(map[string]*matEntry),

@@ -214,7 +214,6 @@ type family struct {
 	help   string
 	kind   metricKind
 	labels []string
-	bounds []time.Duration // histograms only
 
 	mu       sync.Mutex
 	children []*child
@@ -256,7 +255,7 @@ func (r *Registry) Version() uint64 { return r.version.Load() }
 // Default registry, which /healthz turns into uptime.
 func (r *Registry) Start() time.Time { return r.start }
 
-func (r *Registry) register(name, help string, kind metricKind, labels []string, bounds []time.Duration) *family {
+func (r *Registry) register(name, help string, kind metricKind, labels []string) *family {
 	if !nameRe.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -278,7 +277,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string,
 		}
 		return f
 	}
-	f := &family{name: name, help: help, kind: kind, labels: labels, bounds: bounds,
+	f := &family{name: name, help: help, kind: kind, labels: labels,
 		byKey: make(map[string]*child)}
 	r.fams[name] = f
 	r.ordered = append(r.ordered, f)
@@ -308,7 +307,7 @@ func (r *Registry) childOf(f *family, values []string) *child {
 	case kindGauge:
 		c.gauge = &Gauge{}
 	case kindHistogram:
-		c.hist = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
+		c.hist = &Histogram{bounds: DefBuckets, counts: make([]atomic.Uint64, len(DefBuckets)+1)}
 	}
 	f.byKey[key] = c
 	f.children = append(f.children, c)
@@ -318,13 +317,13 @@ func (r *Registry) childOf(f *family, values []string) *child {
 
 // Counter registers (or returns) the unlabeled counter name.
 func (r *Registry) Counter(name, help string) *Counter {
-	f := r.register(name, help, kindCounter, nil, nil)
+	f := r.register(name, help, kindCounter, nil)
 	return r.childOf(f, nil).counter
 }
 
 // Gauge registers (or returns) the unlabeled gauge name.
 func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil, nil)
+	f := r.register(name, help, kindGauge, nil)
 	return r.childOf(f, nil).gauge
 }
 
@@ -332,7 +331,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // uptime, queue depths owned by other structures, and similar readings
 // that are cheaper to compute than to maintain.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	f := r.register(name, help, kindGauge, nil, nil)
+	f := r.register(name, help, kindGauge, nil)
 	c := r.childOf(f, nil)
 	f.mu.Lock()
 	c.gaugeFn = fn
@@ -342,18 +341,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 // Histogram registers (or returns) the unlabeled histogram name with
 // DefBuckets bounds.
 func (r *Registry) Histogram(name, help string) *Histogram {
-	f := r.register(name, help, kindHistogram, nil, DefBuckets)
-	return r.childOf(f, nil).hist
-}
-
-// HistogramBuckets registers (or returns) the unlabeled histogram name
-// with caller-chosen bucket upper bounds — for instruments that do not
-// measure time (the bounds are still expressed as durations because the
-// exposition renders all histogram samples in seconds: observe
-// dimensionless ratios as time.Duration(ratio * float64(time.Second))
-// and the scrape reads them back as plain numbers).
-func (r *Registry) HistogramBuckets(name, help string, bounds []time.Duration) *Histogram {
-	f := r.register(name, help, kindHistogram, nil, bounds)
+	f := r.register(name, help, kindHistogram, nil)
 	return r.childOf(f, nil).hist
 }
 
@@ -366,7 +354,7 @@ type CounterVec struct {
 
 // CounterVec registers (or returns) the labeled counter family name.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
-	return &CounterVec{r: r, f: r.register(name, help, kindCounter, labels, nil)}
+	return &CounterVec{r: r, f: r.register(name, help, kindCounter, labels)}
 }
 
 // With returns the child for the given label values, creating it on
@@ -383,7 +371,7 @@ type GaugeVec struct {
 
 // GaugeVec registers (or returns) the labeled gauge family name.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{r: r, f: r.register(name, help, kindGauge, labels, nil)}
+	return &GaugeVec{r: r, f: r.register(name, help, kindGauge, labels)}
 }
 
 // With returns the child for the given label values.
@@ -400,7 +388,7 @@ type HistogramVec struct {
 // HistogramVec registers (or returns) the labeled histogram family name
 // with DefBuckets bounds.
 func (r *Registry) HistogramVec(name, help string, labels ...string) *HistogramVec {
-	return &HistogramVec{r: r, f: r.register(name, help, kindHistogram, labels, DefBuckets)}
+	return &HistogramVec{r: r, f: r.register(name, help, kindHistogram, labels)}
 }
 
 // With returns the child for the given label values.

@@ -87,11 +87,9 @@ func Lint(t *testing.T, text string) map[string]string {
 					t.Fatalf("line %d: counter %q does not end in _total", ln+1, name)
 				}
 			case "histogram":
-				// Histograms carry a base unit suffix: _seconds for
-				// durations, _ratio for dimensionless samples (the
-				// planner's estimation error).
-				if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_ratio") {
-					t.Fatalf("line %d: histogram %q does not end in a base unit (_seconds, _ratio)", ln+1, name)
+				// Histograms observe durations, in seconds.
+				if !strings.HasSuffix(name, "_seconds") {
+					t.Fatalf("line %d: histogram %q does not end in _seconds", ln+1, name)
 				}
 			case "gauge":
 				if strings.HasSuffix(name, "_total") {

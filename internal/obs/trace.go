@@ -49,25 +49,16 @@ type Trace struct {
 	commit *CommitTrace
 }
 
-// PlanTrace is the planner section of a trace: what the cost-based
-// method planner decided (or would have decided, when ?method= forced
-// the choice) for this request, with its estimates — ?explain=1 pairs
-// them with the actual visit counters.
+// PlanTrace is the planner section of a trace: how a request run with
+// method=auto resolved to a concrete method. Requests with a forced
+// method carry none.
 type PlanTrace struct {
-	// Method is the method the planner chose.
+	// Method is the method auto resolved to.
 	Method string `json:"method"`
-	// Auto reports whether the planner's choice was actually used
-	// (false when a forced ?method= overrode it).
+	// Auto is always true: the method was decided, not forced.
 	Auto bool `json:"auto"`
-	// EstNodes and EstCost are the model's estimates for the method
-	// that ran: predicted visited nodes and cost in visit units.
-	EstNodes int64   `json:"est_nodes"`
-	EstCost  float64 `json:"est_cost"`
-	// Reason is the planner's one-line justification.
+	// Reason names the rule that decided.
 	Reason string `json:"reason,omitempty"`
-	// CacheHit reports whether the decision came from the engine's
-	// decision cache rather than a fresh cost-model run.
-	CacheHit bool `json:"decision_cache_hit,omitempty"`
 }
 
 // ViewTrace is the view-read section of a trace: the same reading the
@@ -234,7 +225,7 @@ func (t *Trace) SetPlan(p *PlanTrace) {
 	t.mu.Unlock()
 }
 
-// Plan returns the planner section, nil when no planner ran.
+// Plan returns the planner section, nil unless method=auto decided.
 func (t *Trace) Plan() *PlanTrace {
 	t.mu.Lock()
 	defer t.mu.Unlock()

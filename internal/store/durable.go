@@ -59,12 +59,9 @@ func (o Options) withDefaults() Options {
 			return q.Compile()
 		}
 	}
-	if o.Method == "" || o.Method == core.MethodAuto {
-		// Replay is method-independent (every method yields the same
-		// result), so Auto pins the deterministic default rather than
-		// re-planning over replay trees that carry no statistics.
-		o.Method = core.MethodTopDown
-	}
+	// Replay compares its method against the ones that return their
+	// input on a no-op, so it needs the concrete method auto runs as.
+	o.Method = core.Resolve(o.Method)
 	switch {
 	case o.HistoryDepth < 0:
 		o.HistoryDepth = 0

@@ -113,11 +113,7 @@ func (o ReplayOptions) env() replayEnv {
 			return q.Compile()
 		}
 	}
-	if env.method == "" || env.method == core.MethodAuto {
-		// As in durable replay: method-independent, so Auto pins the
-		// deterministic default.
-		env.method = core.MethodTopDown
-	}
+	env.method = core.Resolve(env.method) // concrete, as in durable replay
 	return env
 }
 

@@ -623,12 +623,13 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 	}
 	start := time.Now()
 	retries := 0
+	tr := obs.TraceFrom(ctx)
 	// done records the successful commit on the registry and, when the
 	// request carries a trace, fills its commit section — the one source
 	// the serving layer's commit JSON and EXPLAIN both read.
 	done := func(com Commit, noop bool) {
 		observeCommit("update", time.Since(start), com)
-		if tr := obs.TraceFrom(ctx); tr != nil {
+		if tr != nil {
 			tr.SetCommit(&obs.CommitTrace{
 				Kind: "update", Version: com.Version, NoOp: noop,
 				CopiedNodes: com.CopiedNodes, CopiedBytes: com.CopiedBytes,
@@ -636,6 +637,16 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 				Retries:        retries,
 			})
 		}
+	}
+	em := core.Resolve(m)
+	if m == core.MethodAuto {
+		dec := plan.Choose(c, nil)
+		if tr != nil {
+			tr.SetPlan(&obs.PlanTrace{Method: string(dec.Method), Auto: true, Reason: dec.Reason})
+		}
+	}
+	if tr != nil {
+		tr.SetMethod(string(em))
 	}
 	for {
 		snap := ds.cur.Load()
@@ -646,37 +657,14 @@ func (st *Store) apply(ctx context.Context, name string, c *core.Compiled, m cor
 			return nil, Commit{}, conflict(name, base, snap.version)
 		}
 
-		// Resolve MethodAuto against this round's snapshot: its chain
-		// index carries the statistics the planner prices methods with,
-		// and a lost CAS race re-plans against the winner's version.
-		em := m
-		var dec *plan.Decision
-		if m == core.MethodAuto {
-			d := plan.Choose(c, snap.ix)
-			em, dec = d.Method, &d
-		}
-		if tr := obs.TraceFrom(ctx); tr != nil {
-			tr.SetMethod(string(em))
-			if dec != nil {
-				tr.SetPlan(&obs.PlanTrace{
-					Method: string(dec.Method), Auto: true,
-					EstNodes: dec.EstNodes, EstCost: dec.EstCost,
-					Reason: dec.Reason,
-				})
-			}
-		}
-
 		evalStart := time.Now()
 		out, err := c.EvalContext(ctx, snap.root, em)
 		if err != nil {
 			return nil, Commit{}, err
 		}
-		if tr := obs.TraceFrom(ctx); tr != nil {
+		if tr != nil {
 			tr.AddEval(time.Since(evalStart))
 			tr.SetDocNodes(snap.NumNodes())
-			if dec != nil {
-				plan.ObserveError(dec.EstNodes, tr.NodesVisited())
-			}
 		}
 
 		var (

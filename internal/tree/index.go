@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Index is the dense per-document view of a tree: a frozen symbol table
 // covering every element label and attribute name, plus a preorder
@@ -60,11 +57,6 @@ type Index struct {
 	// stable across the chain. nil for plain evaluation indexes.
 	chain *chainID
 	epoch int32
-	// stats caches the per-document statistics record (see stats.go):
-	// eager for chain members, computed on first Stats() call for plain
-	// indexes. Atomic because lazy computation may race between
-	// concurrent readers of a shared document.
-	stats atomic.Pointer[Stats]
 }
 
 // chainID is an identity token shared by every version of one
@@ -145,24 +137,35 @@ func EnsureIndex(doc *Node) *Index {
 // Adopt makes doc the head of a new version chain, the form the
 // versioned store keeps documents in. A tree its own root index owns
 // whole and that heads no chain yet — a freshly parsed document — is
-// adopted in place: one walk collects the planner's statistics and
-// confirms the ownership PathCopy shares by. Anything else is copied by
-// Freeze: a published snapshot root, an interior node, or a tree holding
-// nodes another index stamped.
+// adopted in place: one walk confirms the ownership PathCopy shares by.
+// Anything else is copied by Freeze: a published snapshot root, an
+// interior node, or a tree holding nodes another index stamped.
 //
 // The caller hands doc over: it must be private (no other goroutine holds
 // it) and is never touched again except through the returned root.
 func Adopt(doc *Node) (*Node, *Index, CopyStats) {
 	ix := EnsureIndex(doc)
-	if ix.Root == doc && ix.chain == nil {
-		if s, foreign := recount(ix); foreign == 0 {
-			ix.Live = ix.NumNodes
-			ix.stats.Store(s)
-			ix.chain = &chainID{}
-			return doc, ix, CopyStats{}
-		}
+	if ix.Root == doc && ix.chain == nil && ownsAll(ix) {
+		ix.Live = ix.NumNodes
+		ix.chain = &chainID{}
+		return doc, ix, CopyStats{}
 	}
 	return Freeze(doc, ix)
+}
+
+// ownsAll reports whether ix stamped every node reachable from its root.
+func ownsAll(ix *Index) bool {
+	stack := make([]*Node, 0, 64)
+	stack = append(stack, ix.Root)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !ix.Contains(n) {
+			return false
+		}
+		stack = append(stack, n.Children...)
+	}
+	return true
 }
 
 // IndexBuilder stamps ordinals incrementally while a tree is being

@@ -7,12 +7,12 @@ package tree
 // nodes (the spine from each change to the root, plus inserted
 // content) into the next version of the chain, aliasing everything
 // else. The pointer tree is the whole representation: what the new
-// version adds to the heap is its new nodes, their child slices, its
-// Index and one Stats record — O(|delta|), instead of the Θ(|T|) a full
-// Freeze pays — and a superseded version is garbage as soon as nothing
-// (a history ring slot, a reader) holds its root. A node that lives on
-// in later versions keeps itself and its version's membership stamp
-// alive, and nothing else of the version it was created in.
+// version adds to the heap is its new nodes, their child slices and its
+// Index — O(|delta|), instead of the Θ(|T|) a full Freeze pays — and a
+// superseded version is garbage as soon as nothing (a history ring
+// slot, a reader) holds its root. A node that lives on in later
+// versions keeps itself and its version's membership stamp alive, and
+// nothing else of the version it was created in.
 //
 // How a version is built:
 //
@@ -50,8 +50,8 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 	// Two stamps describe the version. ix is its Index proper — it knows
 	// the root — and is stamped on the root alone, which no later version
 	// can alias (every commit builds a new root). Every other new node
-	// carries member: the same chain, epoch, symbols, width and
-	// statistics, but no Root. A node that survives into later versions
+	// carries member: the same chain, epoch, symbols, width and live
+	// count, but no Root. A node that survives into later versions
 	// then pins its birth version's membership and nothing more; through
 	// a Root it would pin that version's spine, whose aliased children
 	// pin the version before, and so on down the whole history.
@@ -74,20 +74,15 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		return syms.Intern(name)
 	}
 
-	// The statistics record is maintained incrementally alongside the
-	// copy: nodes this commit creates are added as the walk allocates
-	// them (their depth is the walk's frame depth — the spine runs from
-	// the root), and the previous version's dropped nodes are
-	// subtracted afterwards by a prune-at-aliased-subtrees walk (see
-	// below). kept records the aliased subtree roots that walk prunes at.
-	ns := prev.Stats().clone(prev.Syms.Len())
+	// kept records the aliased subtree roots, where the walk counting the
+	// previous version's dropped nodes (below) prunes.
 	kept := make(map[*Node]struct{}, 8)
 
 	var (
 		stats CopyStats
 		next  = int32(prev.NumNodes)
 	)
-	alloc := func(src *Node, depth int32, stamp *Index) *Node {
+	alloc := func(src *Node, stamp *Index) *Node {
 		dst := new(Node)
 		dst.copyPayload(src)
 		stats.Nodes++
@@ -103,17 +98,15 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		dst.ord = next
 		next++
 		dst.idx.Store(stamp)
-		ns.add(dst, depth)
 		return dst
 	}
 
 	type frame struct {
-		src   *Node // node in out (not a member of prev)
-		dst   *Node // its copy
-		depth int32
+		src *Node // node in out (not a member of prev)
+		dst *Node // its copy
 	}
-	root := alloc(out, 0, ix)
-	stack := []frame{{out, root, 0}}
+	root := alloc(out, ix)
+	stack := []frame{{out, root}}
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -129,22 +122,21 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 				kept[ch] = struct{}{}
 				continue
 			}
-			f.dst.Children[i] = alloc(ch, f.depth+1, member)
+			f.dst.Children[i] = alloc(ch, member)
 		}
 		// New children get frames, pushed in reverse so they pop in
 		// document order.
 		for i := nc - 1; i >= 0; i-- {
 			if ch := f.src.Children[i]; f.dst.Children[i] != ch {
-				stack = append(stack, frame{ch, f.dst.Children[i], f.depth + 1})
+				stack = append(stack, frame{ch, f.dst.Children[i]})
 			}
 		}
 	}
 
-	// Subtract the previous version's dropped nodes from the statistics:
-	// walk its tree from its root, pruning at every aliased subtree
-	// (those survive wholesale, and the update operations never move a
-	// surviving subtree, so its depths carry over unchanged). Cost is
-	// O(spine + deleted), the same delta the copy itself paid.
+	// Count the previous version's dropped nodes for Live: walk its tree
+	// from its root, pruning at every aliased subtree (those survive
+	// wholesale). Cost is O(spine + deleted), the same delta the copy
+	// itself paid.
 	dropped := 0
 	stack = append(stack, frame{src: prev.Root})
 	for len(stack) > 0 {
@@ -153,10 +145,9 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		if _, ok := kept[f.src]; ok {
 			continue
 		}
-		ns.sub(f.src, f.depth)
 		dropped++
 		for _, ch := range f.src.Children {
-			stack = append(stack, frame{src: ch, depth: f.depth + 1})
+			stack = append(stack, frame{src: ch})
 		}
 	}
 
@@ -177,7 +168,6 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		x.Syms = syms
 		x.NumNodes = width
 		x.Live = live
-		x.stats.Store(ns)
 	}
 	return root, ix, stats
 }

@@ -106,7 +106,6 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 	}
 	var stats CopyStats
 	ix := &Index{Syms: syms, chain: &chainID{}}
-	ns := &Stats{PerSym: make([]int32, syms.Len()), Gen: statsGen.Add(1)}
 	var ar arena
 	ord := int32(0)
 	// Iterative walk copying and stamping each node as it is popped, with
@@ -119,7 +118,6 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 		src    *Node
 		parent *Node // copy whose child slot receives this node's copy
 		slot   int
-		depth  int32
 	}
 	var root *Node
 	stack := []frame{{src: src}}
@@ -145,7 +143,6 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 			}
 		}
 		n.idx.Store(ix)
-		ns.add(n, f.depth)
 		if base != nil && base.Contains(f.src) {
 			stats.SharedWithBase++
 		}
@@ -156,12 +153,11 @@ func Freeze(src *Node, base *Index) (*Node, *Index, CopyStats) {
 		n.Children = make([]*Node, nc)
 		stats.Bytes += int64(nc) * ptrBytes
 		for i := nc - 1; i >= 0; i-- {
-			stack = append(stack, frame{f.src.Children[i], n, i, f.depth + 1})
+			stack = append(stack, frame{f.src.Children[i], n, i})
 		}
 	}
 	ix.Root = root
 	ix.NumNodes = int(ord)
 	ix.Live = int(ord)
-	ix.stats.Store(ns)
 	return root, ix, stats
 }

@@ -8,7 +8,6 @@ import (
 	"xtq/internal/obs"
 	"xtq/internal/plan"
 	"xtq/internal/saxeval"
-	"xtq/internal/stats"
 	"xtq/internal/tree"
 )
 
@@ -19,7 +18,6 @@ import (
 // evaluation carries its own state.
 type Prepared struct {
 	eng      *Engine
-	src      string
 	compiled *core.Compiled
 }
 
@@ -47,53 +45,21 @@ func (p *Prepared) String() string { return p.compiled.Query.String() }
 // subtrees with an input other goroutines are still evaluating — are
 // safe.
 func (p *Prepared) Eval(ctx context.Context, src Source) (*Node, error) {
-	return p.evalMethod(ctx, src, p.eng.method)
-}
-
-func (p *Prepared) evalMethod(ctx context.Context, src Source, m Method) (*Node, error) {
 	doc, err := p.eng.parse(ctx, src)
 	if err != nil {
 		return nil, err
 	}
+	m := p.eng.method
 	tr := obs.TraceFrom(ctx)
-	var pt *obs.PlanTrace
 	if m == core.MethodAuto {
-		// Resolve Auto before evaluation: the planner picks a concrete
-		// method from the document's statistics (indexing the document
-		// as a side effect — which Eval would do anyway).
-		dec, hit := p.eng.decide(p.src, p.compiled, doc)
+		dec := plan.Choose(p.compiled, nil)
 		m = dec.Method
-		pt = &obs.PlanTrace{
-			Method:   string(dec.Method),
-			Auto:     true,
-			EstNodes: dec.EstNodes,
-			EstCost:  dec.EstCost,
-			Reason:   dec.Reason,
-			CacheHit: hit,
-		}
-	} else if tr != nil {
-		// A forced method under a trace still gets a planner section:
-		// what the planner would have chosen (the serving layer reports
-		// it as planned_method) and the model's estimate for the method
-		// that actually runs, so EXPLAIN compares estimated to actual
-		// visits apples-to-apples. Not recorded in the decisions metric
-		// — the decision was not used.
-		ix := tree.EnsureIndex(doc)
-		would := plan.WouldChoose(p.compiled, ix)
-		est := plan.EstimateMethod(p.compiled, stats.Of(ix), m)
-		pt = &obs.PlanTrace{
-			Method:   string(would.Method),
-			Auto:     false,
-			EstNodes: est.Nodes,
-			EstCost:  est.Cost,
-			Reason:   would.Reason,
+		if tr != nil {
+			tr.SetPlan(&obs.PlanTrace{Method: string(m), Auto: true, Reason: dec.Reason})
 		}
 	}
 	if tr != nil {
 		tr.SetMethod(string(m))
-		if pt != nil {
-			tr.SetPlan(pt)
-		}
 		if ix := tree.IndexOf(doc); ix != nil && ix.Live > 0 {
 			// O(1) for a chain head (a store snapshot), which owns and
 			// counts every node it reaches.
@@ -112,9 +78,6 @@ func (p *Prepared) evalMethod(ctx context.Context, src Source, m Method) (*Node,
 	mEvalSeconds.With(string(m)).Observe(d)
 	if tr != nil {
 		tr.AddEval(d)
-		if pt != nil {
-			plan.ObserveError(pt.EstNodes, tr.NodesVisited())
-		}
 	}
 	if err != nil {
 		return nil, classify(err, KindEval)

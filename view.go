@@ -97,7 +97,7 @@ func (v *View) Materialize(ctx context.Context, src Source) (*Node, error) {
 		return nil, err
 	}
 	for _, p := range v.stack {
-		doc, err = p.evalMethod(ctx, doc, v.eng.method)
+		doc, err = p.Eval(ctx, doc)
 		if err != nil {
 			return nil, err
 		}

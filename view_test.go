@@ -80,6 +80,31 @@ func TestViewStackedEval(t *testing.T) {
 	}
 }
 
+// TestEvalSequentialOnAutoEngine pins that the sequential baseline hands
+// its layers a method they can run: an Auto engine's EvalSequential
+// agrees with Eval instead of failing on the unresolved directive.
+func TestEvalSequentialOnAutoEngine(t *testing.T) {
+	v, err := NewEngine(WithMethod(MethodAuto)).View(viewRedact, viewHideCountry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pv, err := v.Prepare(viewUser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := pv.Eval(context.Background(), FromString(viewDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pv.EvalSequential(context.Background(), FromString(viewDB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("Eval disagrees with EvalSequential:\n got  %s\n want %s", got, want)
+	}
+}
+
 // TestPreparedViewConcurrent evaluates one PreparedView from 8 goroutines
 // under -race: the plan must carry no per-run state.
 func TestPreparedViewConcurrent(t *testing.T) {

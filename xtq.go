@@ -126,10 +126,9 @@ const (
 	MethodTwoPass = core.MethodTwoPass
 	// MethodCopyUpdate is the snapshot baseline ("GalaXUpdate").
 	MethodCopyUpdate = core.MethodCopyUpdate
-	// MethodAuto asks the cost-based planner to pick one of the
-	// concrete methods per (query, document) from the document's
-	// statistics; ?explain=1 (and obs.Trace.Plan) report the choice
-	// with its estimates.
+	// MethodAuto runs the recommended method, MethodTopDown (the
+	// paper's best general method, §7); ?explain=1 (and
+	// obs.Trace.Plan) report the decision and the rule behind it.
 	MethodAuto = core.MethodAuto
 	// Auto is shorthand for MethodAuto: NewEngine(WithMethod(Auto)).
 	Auto = core.MethodAuto
