@@ -134,6 +134,49 @@ func TestEmitAllocs(t *testing.T) {
 	}
 }
 
+// TestImageEmitAllocs pins the same path with the snapshot's image: a
+// query result over an imaged XMark 0.01 snapshot goes out as a few
+// walked spine nodes and copied byte ranges, allocating no more than the
+// plain walk.
+func TestImageEmitAllocs(t *testing.T) {
+	ctx := context.Background()
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.01, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(nil)
+	snap, _, err := st.Put(ctx, "d", doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, _ := snap.Index().Image()
+	p, err := st.Engine().Prepare(`transform copy $a := doc("d") modify do insert <seen/> into $a/site/people/person[@id = "person10"] return $a`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Eval(ctx, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cd countingDiscard
+	const maxAllocs = 4
+	if got := testing.AllocsPerRun(100, func() {
+		w := sax.NewWriter(&cd)
+		w.UseImage(img)
+		if err := sax.Emit(res, w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > maxAllocs {
+		t.Errorf("sax.Emit through the image allocates %.1f times per run, want <= %d", got, maxAllocs)
+	}
+	if want := int64(len(res.String())); cd.n != 101*want {
+		t.Fatalf("wrote %d bytes over 101 runs, want %d each", cd.n, want)
+	}
+}
+
 // TestTracedEvalDocNodesAllocs pins the explain path's document-size
 // accounting over a sealed snapshot: the doc-node count is served from
 // the index's live count in O(1), and the whole traced evaluation —

@@ -521,17 +521,43 @@ func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); r
 // the same XMark 0.05 document (≈2.1 MB, 92 k nodes): the event walk
 // every xtqd query response takes (sax.Emit into a sax.Writer), the
 // pointer walk (Node.WriteXML) and the same walk over a sealed,
-// arena-backed snapshot (Snapshot.WriteXML). MB/s is the figure to
-// compare.
+// arena-backed snapshot (Snapshot.WriteXML). Two more legs run over a
+// second snapshot of the document whose chain image is built:
+// image_emit serializes the 40 topdown results of U1-U10 under every
+// update kind through the image, as xtqd answers queries, and
+// snapshot_writexml_image is Snapshot.WriteXML with the image. MB/s is
+// the figure to compare.
 func BenchmarkSerialize(b *testing.B) {
+	ctx := context.Background()
 	doc := benchDoc(b, 0.05)
 	st := NewStore(nil)
-	if _, _, err := st.Put(context.Background(), "d", doc); err != nil {
-		b.Fatal(err)
+	for _, name := range []string{"d", "imaged"} {
+		if _, _, err := st.Put(ctx, name, doc); err != nil {
+			b.Fatal(err)
+		}
 	}
 	snap, err := st.Snapshot("d")
 	if err != nil {
 		b.Fatal(err)
+	}
+	imaged, err := st.Snapshot("imaged")
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, _ := imaged.Index().Image()
+	var results []*tree.Node
+	for i := 1; i <= 10; i++ {
+		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
+			c, err := queries.TransformOp(i, op).Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := c.EvalContext(ctx, imaged.Root(), core.MethodTopDown)
+			if err != nil {
+				b.Fatal(err)
+			}
+			results = append(results, res)
+		}
 	}
 	for _, c := range []struct {
 		name  string
@@ -546,6 +572,20 @@ func BenchmarkSerialize(b *testing.B) {
 		}},
 		{"node_writexml", doc.WriteXML},
 		{"snapshot_writexml", snap.WriteXML},
+		{"image_emit", func(w io.Writer) error {
+			for _, res := range results {
+				sw := sax.NewWriter(w)
+				sw.UseImage(img)
+				if err := sax.Emit(res, sw); err != nil {
+					return err
+				}
+				if err := sw.Flush(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"snapshot_writexml_image", imaged.WriteXML},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var cd countingDiscard

@@ -12,6 +12,10 @@ import (
 	"time"
 
 	"xtq"
+	"xtq/internal/core"
+	"xtq/internal/queries"
+	"xtq/internal/tree"
+	"xtq/internal/xmark"
 )
 
 const testDoc = `<db>` +
@@ -299,6 +303,57 @@ func TestStreamErrorBeforeOutputReportsStatus(t *testing.T) {
 	}
 	if !strings.Contains(body, `"kind"`) {
 		t.Fatalf("no error body: %q", body)
+	}
+}
+
+// TestStreamMatchesTreeWithImage: the second tree-path query of a
+// document builds its image (the first walks), and from then on ?stream=1
+// (whose two input passes read the snapshot through Snapshot.Open)
+// answers U1-U10 under every update kind with the tree path's bytes. The
+// stream path alone never builds an image.
+func TestStreamMatchesTreeWithImage(t *testing.T) {
+	st := xtq.NewStore(nil)
+	ts := httptest.NewServer(newServer(st, 5*time.Second, 1<<20))
+	defer ts.Close()
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"d", "s"} {
+		if _, _, err := st.Put(t.Context(), name, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	image := func(name string) *tree.Image {
+		snap, err := st.Snapshot(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap.Index().LoadImage()
+	}
+	q := queries.TransformOp(1, core.Rename).String()
+	for i := 0; i < 2; i++ {
+		if code, _, body := do(t, "POST", ts.URL+"/docs/s/query?stream=1", q, nil); code != http.StatusOK || image("s") != nil {
+			t.Fatalf("stream query %d: %d, image built: %v (%.80q)", i+1, code, image("s") != nil, body)
+		}
+	}
+	for i, want := range []bool{false, true} {
+		if code, _, _ := do(t, "POST", ts.URL+"/docs/d/query", q, nil); code != http.StatusOK || (image("d") != nil) != want {
+			t.Fatalf("tree query %d: %d, image built: %v, want %v", i+1, code, image("d") != nil, want)
+		}
+	}
+	for i := 1; i <= 10; i++ {
+		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
+			q := queries.TransformOp(i, op).String()
+			code, _, body := do(t, "POST", ts.URL+"/docs/d/query", q, nil)
+			scode, _, stream := do(t, "POST", ts.URL+"/docs/d/query?stream=1", q, nil)
+			if code != http.StatusOK || scode != http.StatusOK {
+				t.Fatalf("U%d %s: status tree %d stream %d", i, op, code, scode)
+			}
+			if stream != body {
+				t.Fatalf("U%d %s: stream body (%d bytes) differs from the tree body (%d bytes)", i, op, len(stream), len(body))
+			}
+		}
 	}
 }
 

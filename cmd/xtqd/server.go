@@ -14,6 +14,7 @@ import (
 	"xtq"
 	"xtq/internal/obs"
 	"xtq/internal/sax"
+	"xtq/internal/tree"
 )
 
 // server routes HTTP requests onto one xtq.Store. All handlers are
@@ -495,10 +496,10 @@ func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 // through the Sink layer. ?method= overrides the engine's in-memory
 // method; ?stream=1 uses the two-pass SAX evaluator instead, emitting
 // output as it goes. Note that over an in-memory snapshot the streaming
-// evaluator's two input passes each read a fresh serialization of the
-// tree (Snapshot.Open), so stream=1 trades extra transient allocation
-// for never materializing the result tree — its O(depth) guarantee is
-// about evaluation state, not about the already-resident document.
+// evaluator's two input passes each read a serialization of the tree
+// (Snapshot.Open): the chain's image without a copy once tree-path
+// queries have built it, a fresh buffer before that. Its O(depth) guarantee
+// is about evaluation state, not about the already-resident document.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.ctx(r)
 	defer cancel()
@@ -594,22 +595,27 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	writeResult(w, snap, res)
+	// The one place an image is built (on the chain's second read): the
+	// result shares every subtree the update cannot touch with the
+	// snapshot, and those go out as the image's bytes.
+	writeResult(w, snap, res, snap.Image())
 }
 
-// writeResult serializes a result tree to the response through the Sink
-// layer, stamping the snapshot version it was computed over. A failed
-// write (the client went away) stops the walk at once; it can only leave
-// a truncated body (the status already went out with the first flush),
-// so it is not separately reported.
-func writeResult(w http.ResponseWriter, snap *xtq.Snapshot, res *xtq.Node) {
+// writeResult serializes a result tree to the response, stamping the
+// snapshot version it was computed over and copying every subtree img
+// (which may be nil) covers. A failed write (the client went away) stops
+// the walk at once; it can only leave a truncated body (the status
+// already went out with the first flush), so it is not separately
+// reported.
+func writeResult(w http.ResponseWriter, snap *xtq.Snapshot, res *xtq.Node, img *tree.Image) {
 	versionHeaders(w, snap)
 	w.Header().Set("Content-Type", "application/xml")
-	sink := xtq.ToWriter(w)
-	if err := sax.Emit(res, sink.Handler()); err != nil {
+	sw := sax.NewWriter(w)
+	sw.UseImage(img)
+	if err := sax.Emit(res, sw); err != nil {
 		return
 	}
-	sink.Flush()
+	sw.Flush()
 }
 
 // handleUpdate commits the update query in the body. If-Match: "v"
@@ -749,7 +755,7 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	writeResult(w, snap, res)
+	writeResult(w, snap, res, nil)
 }
 
 // viewMeta is the JSON shape of one registered view.

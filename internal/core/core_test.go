@@ -226,6 +226,50 @@ func TestStructuralSharing(t *testing.T) {
 	}
 }
 
+// TestTopDownSharesFrozenConstant: every match of an insert or replace,
+// in every evaluation, links the Compiled's one frozen constant; indexing
+// a result leaves the constant with its own index, and the constant the
+// query was parsed with is never linked or stamped.
+func TestTopDownSharesFrozenConstant(t *testing.T) {
+	d := doc(t)
+	for _, src := range []string{
+		`transform copy $a := doc("foo") modify do insert <audit><by>x</by></audit> into $a//supplier return $a`,
+		`transform copy $a := doc("foo") modify do replace $a//price with <audit><by>x</by></audit> return $a`,
+	} {
+		c := compile(t, src)
+		var links []*tree.Node
+		for i := 0; i < 2; i++ {
+			res, err := c.Eval(d, MethodTopDown)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack := []*tree.Node{res}
+			for len(stack) > 0 {
+				n := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if n.Label == "audit" {
+					links = append(links, n)
+				}
+				stack = append(stack, n.Children...)
+			}
+			if tree.EnsureIndex(res).Contains(c.elem) {
+				t.Fatalf("%s: a result index claimed the constant", src)
+			}
+		}
+		if len(links) != 8 {
+			t.Fatalf("%s: %d constants linked over two evaluations, want 8", src, len(links))
+		}
+		for _, n := range links {
+			if n != c.elem {
+				t.Fatalf("%s: a match got a copy of the constant, not the frozen node", src)
+			}
+		}
+		if tree.IndexOf(c.elem) == nil || tree.IndexOf(c.Query.Update.Elem) != nil {
+			t.Fatalf("%s: the frozen constant heads no index, or the parsed one was stamped", src)
+		}
+	}
+}
+
 func TestBottomUpPruning(t *testing.T) {
 	d := doc(t)
 	// supplier//part reaches no state from the root (Example 5.3): the

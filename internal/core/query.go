@@ -61,6 +61,11 @@ func quoteDocArg(s string) string {
 type Compiled struct {
 	Query *Query
 	NFA   *automaton.NFA
+	// elem is Query.Update.Elem frozen once: topDown links this one node
+	// into every result instead of copying the constant per match. Its own
+	// index owns it, so no result index claims it, and PathCopy copies it
+	// into a commit like any other non-member.
+	elem *tree.Node
 }
 
 // Compile validates the query and builds its selecting NFA.
@@ -72,7 +77,11 @@ func (q *Query) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, xerr.Wrap(xerr.Compile, err)
 	}
-	return &Compiled{Query: q, NFA: nfa}, nil
+	c := &Compiled{Query: q, NFA: nfa}
+	if q.Update.Elem != nil {
+		c.elem, _, _ = tree.Freeze(q.Update.Elem, nil)
+	}
+	return c, nil
 }
 
 // ParseQuery parses a transform query in surface syntax, e.g.

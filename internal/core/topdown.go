@@ -107,7 +107,7 @@ func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth i
 			// Prune without loading the subtree.
 			return nil, false
 		case Replace:
-			return u.Elem.DeepCopy(), true
+			return r.c.elem, true
 		}
 	}
 	var newChildren []*tree.Node
@@ -136,7 +136,7 @@ func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth i
 			newChildren = make([]*tree.Node, 0, len(n.Children)+1)
 			newChildren = append(newChildren, n.Children...)
 		}
-		newChildren = append(newChildren, u.Elem.DeepCopy())
+		newChildren = append(newChildren, r.c.elem)
 	}
 	relabel := matched && u.Op == Rename
 	if !changed && !relabel {
@@ -160,9 +160,11 @@ func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth i
 // update kinds. It traverses only the part of the tree reachable with a
 // non-empty automaton state set; subtrees the update cannot touch are
 // returned by reference (structural sharing), so the result is a
-// copy-on-write view over the input. The input is never modified (the
-// document is indexed on first evaluation, which stamps ordinals — see
-// tree.EnsureIndex — but its structure and content are untouched).
+// copy-on-write view over the input; an inserted or replacing element is
+// the Compiled's one frozen constant, shared by every result. The input
+// is never modified (the document is indexed on first evaluation, which
+// stamps ordinals — see tree.EnsureIndex — but its structure and content
+// are untouched).
 // Cancelling ctx aborts the traversal at node granularity.
 func EvalTopDown(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecker) (*tree.Node, error) {
 	idx := tree.EnsureIndex(doc)

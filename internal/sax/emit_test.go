@@ -63,7 +63,8 @@ func refXML(b *bytes.Buffer, n *tree.Node) {
 // event walk (sax.Emit into a sax.Writer, xtqd's query responses), the
 // pointer walk (Node.WriteXML) and a store snapshot frozen from the
 // document (Snapshot.WriteXML — GET /docs/{name}, checkpoints, follower
-// bootstrap).
+// bootstrap); the last and the event walk also run with the snapshot's
+// chain image, which copies covered subtrees instead of walking them.
 type serializer struct {
 	name  string
 	write func(doc *tree.Node, w io.Writer) error
@@ -84,6 +85,38 @@ var serializers = []serializer{
 			return err
 		}
 		return snap.WriteXML(w)
+	}},
+	{"Snapshot.WriteXML (image)", func(doc *tree.Node, w io.Writer) error {
+		snap, _, err := store.New().Put("d", doc, false)
+		if err != nil {
+			return err
+		}
+		snap.Index().Image()
+		return snap.WriteXML(w)
+	}},
+	{"sax.Emit (image, new root)", func(doc *tree.Node, w io.Writer) error {
+		snap, _, err := store.New().Put("d", doc, false)
+		if err != nil {
+			return err
+		}
+		// A fresh root (and root element) over the snapshot's children: the
+		// walk emits them and copies each child the image covers, the shape
+		// of a query result.
+		fresh := func(n *tree.Node) *tree.Node {
+			return &tree.Node{Kind: n.Kind, Label: n.Label, Attrs: n.Attrs, Data: n.Data, Children: n.Children}
+		}
+		r := snap.Root()
+		spine := fresh(r)
+		if r.Kind == tree.Document && len(r.Children) == 1 {
+			spine.Children = []*tree.Node{fresh(r.Children[0])}
+		}
+		img, _ := snap.Index().Image()
+		sw := sax.NewWriter(w)
+		sw.UseImage(img)
+		if err := sax.Emit(spine, sw); err != nil {
+			return err
+		}
+		return sw.Flush()
 	}},
 }
 

@@ -28,6 +28,10 @@ var (
 		"Optimistic commits that lost the publishing CAS and re-evaluated.")
 	mCheckpointSeconds = obs.Default.Histogram("xtq_store_checkpoint_seconds",
 		"Checkpoint duration (capture, serialize, publish, GC).")
+	mImageBuilds = obs.Default.Counter("xtq_store_image_builds_total",
+		"Serialized chain images built (at most one per version chain).")
+	mImageBytes = obs.Default.Counter("xtq_store_image_bytes_total",
+		"Bytes of the serialized chain images built.")
 )
 
 // observeCommit records one successful commit on the registry.

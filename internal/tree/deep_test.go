@@ -2,6 +2,7 @@ package tree
 
 import (
 	"runtime/debug"
+	"strings"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func deepChain(depth int) *Node {
 }
 
 // TestDeepDocumentOps pins the iterative implementations of Equal,
-// DeepCopy, SharedNodes and indexing: a document as deep as a generous
+// DeepCopy, SharedNodes, indexing, Freeze and the image build: a document as deep as a generous
 // WithMaxDepth admits must not overflow the stack. The goroutine stack
 // ceiling is lowered for the duration of the test so a regression back to
 // per-node recursion fails (fatally, as a stack overflow) instead of
@@ -45,6 +46,28 @@ func TestDeepDocumentOps(t *testing.T) {
 	}
 	if got := SharedNodes(d, d); got != ix.NumNodes {
 		t.Fatalf("self-sharing = %d, want %d", got, ix.NumNodes)
+	}
+
+	// The image of a frozen copy is built by an iterative walk, and an
+	// emitter using it copies the covered subtrees: a result whose new
+	// spine sits over the old chain is emitted without descending it.
+	froot, fix, _ := Freeze(d, nil)
+	img, _ := fix.Image()
+	if img == nil || img.Len() != len(img.Subtree(froot)) {
+		t.Fatal("image of the deep document does not cover its root")
+	}
+	top := froot.Root()
+	spine := NewDocument(NewElement("top", top.Children...))
+	var b strings.Builder
+	e := NewEmitter(&b)
+	e.UseImage(img)
+	e.Node(spine)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	body := string(img.Subtree(top))
+	if want := "<top>" + body[len("<e>"):len(body)-len("</e>")] + "</top>"; b.String() != want {
+		t.Fatal("emission through the deep image differs from the document")
 	}
 
 	// Equality must detect a difference buried at the bottom of the chain.

@@ -1,0 +1,164 @@
+package tree
+
+import (
+	"errors"
+	"math"
+)
+
+// Image is the serialized form of one version of a document chain: the
+// bytes Emitter.Node writes for the version's root, plus the byte range
+// of every element or document node with children, by ordinal. An
+// emitter given the image (Emitter.UseImage) copies the range of every
+// node it covers instead of walking and escaping the subtree.
+//
+// One image serves every version of its chain, and no commit invalidates
+// it: a stamped node's subtree never changes, and an ordinal is never
+// reused within a chain. A node the image does not cover is walked as
+// usual: one stamped by another chain, one created after the image (its
+// tail ordinal is past the table), or one not reachable in the imaged
+// version (its range was never set). Compaction starts a new chain, which
+// has no image until one is built from it.
+type Image struct {
+	data  []byte
+	spans []span // by ordinal; end == 0 means not covered
+}
+
+// span is the byte range [start,end) of one node's serialization.
+type span struct{ start, end uint32 }
+
+// Len returns the size of the image's serialization in bytes.
+func (img *Image) Len() int { return len(img.data) }
+
+// Subtree returns the serialization of the subtree rooted at n, or nil
+// when img (which may be nil) does not cover n. The slice aliases the
+// image: treat it as read-only.
+func (img *Image) Subtree(n *Node) []byte {
+	if img == nil {
+		return nil
+	}
+	o := n.idx.Load()
+	if o == nil || o.chain == nil || o.chain.img.Load() != img || uint(n.ord) >= uint(len(img.spans)) {
+		return nil
+	}
+	s := img.spans[n.ord]
+	if s.end == 0 {
+		return nil
+	}
+	return img.data[s.start:s.end:s.end]
+}
+
+// Image returns the serialized image of ix's version chain, building it
+// from ix.Root when the chain has none yet; built reports whether this
+// call published the image it returns. Concurrent first calls may each
+// build one, but exactly one is published and every caller gets it. ix
+// must be a version's own index (Adopt, Freeze, PathCopy); for any other
+// index the result is nil. A serialization larger than 4 GiB, which uint32
+// ranges cannot address, publishes an image covering nothing.
+func (ix *Index) Image() (img *Image, built bool) {
+	if ix.chain == nil || ix.Root == nil {
+		return nil, false
+	}
+	if img := ix.chain.img.Load(); img != nil {
+		return img, false
+	}
+	img = buildImage(ix)
+	if ix.chain.img.CompareAndSwap(nil, img) {
+		return img, true
+	}
+	return ix.chain.img.Load(), false
+}
+
+// Reread notes a read of ix's version chain and reports whether one had
+// been noted before: true from the second read of the chain on, and
+// always false for an index outside any chain.
+func (ix *Index) Reread() bool { return ix.chain != nil && ix.chain.read.Swap(true) }
+
+// LoadImage returns the image of ix's chain if one has been built, and
+// nil otherwise. It never builds one.
+func (ix *Index) LoadImage() *Image {
+	if ix.chain == nil {
+		return nil
+	}
+	return ix.chain.img.Load()
+}
+
+// buildImage serializes ix.Root twice: once to measure it, once into an
+// exactly sized buffer while recording the ranges. The image is built
+// once per chain and kept for the chain's life, so it takes a second
+// walk rather than leaving a transient copy of the document behind.
+func buildImage(ix *Index) *Image {
+	var sink imageSink
+	if !writeImage(ix, &sink, nil) {
+		return &Image{}
+	}
+	sink = imageSink{buf: make([]byte, 0, sink.n), keep: true}
+	spans := make([]span, ix.NumNodes)
+	writeImage(ix, &sink, spans)
+	return &Image{data: sink.buf, spans: spans}
+}
+
+var errImageTooLarge = errors.New("tree: image exceeds 4 GiB")
+
+// imageSink counts what is written to it, and keeps it when keep is set.
+type imageSink struct {
+	buf  []byte
+	n    int
+	keep bool
+}
+
+func (s *imageSink) Write(p []byte) (int, error) {
+	s.n += len(p)
+	if s.n > math.MaxUint32 {
+		return 0, errImageTooLarge
+	}
+	if s.keep {
+		s.buf = append(s.buf, p...)
+	}
+	return len(p), nil
+}
+
+// writeImage writes ix.Root to s exactly as Emitter.Node does, with an
+// iterative walk (documents as deep as WithMaxDepth admits must not
+// overflow the stack), and records in spans, when non-nil, the range of
+// every member node with children. It reports false when the output does
+// not fit uint32 offsets.
+func writeImage(ix *Index, s *imageSink, spans []span) bool {
+	e := NewEmitter(s)
+	type frame struct {
+		n     *Node
+		start int // -1 on entry; the node's first byte on exit
+	}
+	stack := []frame{{ix.Root, -1}}
+	for len(stack) > 0 && e.err == nil {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n := f.n
+		if f.start >= 0 {
+			if n.Kind == Element {
+				e.EndTag(n.Label)
+			}
+			if spans != nil && ix.Contains(n) {
+				spans[n.ord] = span{uint32(f.start), uint32(s.n + len(e.buf))}
+			}
+			continue
+		}
+		start := s.n + len(e.buf)
+		switch n.Kind {
+		case Text:
+			e.Text(n.Data)
+			continue
+		case Element:
+			e.StartTag(n.Label, n.Attrs)
+			if len(n.Children) == 0 {
+				e.Raw("/>")
+				continue
+			}
+			e.Raw(">")
+		}
+		stack = append(stack, frame{n, start})
+		for i := len(n.Children) - 1; i >= 0; i-- {
+			stack = append(stack, frame{n.Children[i], -1})
+		}
+	}
+	return e.Flush() == nil
+}

@@ -1,6 +1,9 @@
 package tree
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Index is the dense per-document view of a tree: a frozen symbol table
 // covering every element label and attribute name, plus a preorder
@@ -60,8 +63,13 @@ type Index struct {
 }
 
 // chainID is an identity token shared by every version of one
-// path-copied document chain; only its pointer matters.
-type chainID struct{ _ byte }
+// path-copied document chain. Besides its pointer it carries the chain's
+// serialized image, built at most once (see Image), and whether a read
+// of the chain has been noted (see Reread).
+type chainID struct {
+	img  atomic.Pointer[Image]
+	read atomic.Bool
+}
 
 // indexMu serializes the first indexing of unstamped trees, so concurrent
 // evaluations of the same document build its index exactly once and two

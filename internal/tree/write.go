@@ -30,10 +30,15 @@ type Emitter struct {
 	w   io.Writer
 	buf []byte // cap emitBufSize; nil before the first write and after Flush
 	err error
+	img *Image // optional: Node copies the subtrees it covers
 }
 
 // NewEmitter returns an Emitter writing to w.
 func NewEmitter(w io.Writer) Emitter { return Emitter{w: w} }
+
+// UseImage makes Node copy every subtree img covers from its bytes
+// instead of walking it; nil turns copying off.
+func (e *Emitter) UseImage(img *Image) { e.img = img }
 
 // Err returns the first error the underlying writer reported.
 func (e *Emitter) Err() error { return e.err }
@@ -66,17 +71,37 @@ func (e *Emitter) Raw(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-// rawSlow handles a string the buffer has no room for: it spills (taking
-// a buffer first if e holds none) and writes s through if it cannot fit.
+// rawSlow handles a string the buffer has no room for: it spills and
+// writes s through if it cannot fit.
 func (e *Emitter) rawSlow(s string) {
+	if e.makeRoom(len(s)) {
+		e.buf = append(e.buf, s...)
+	} else if e.err == nil {
+		_, e.err = io.WriteString(e.w, s)
+	}
+}
+
+// makeRoom spills the buffer (taking one first if e holds none) and
+// reports whether n bytes fit in it.
+func (e *Emitter) makeRoom(n int) bool {
 	if e.buf == nil {
 		e.buf = emitBufs.Get().(*[emitBufSize]byte)[:0]
 	}
 	e.spill()
-	if len(s) <= emitBufSize {
-		e.buf = append(e.buf, s...)
+	return n <= emitBufSize
+}
+
+// Bytes appends b unescaped. A slice larger than the buffer is written
+// straight through, without a copy.
+func (e *Emitter) Bytes(b []byte) {
+	if len(b) <= cap(e.buf)-len(e.buf) {
+		e.buf = append(e.buf, b...)
+		return
+	}
+	if e.makeRoom(len(b)) {
+		e.buf = append(e.buf, b...)
 	} else if e.err == nil {
-		_, e.err = io.WriteString(e.w, s)
+		_, e.err = e.w.Write(b)
 	}
 }
 
@@ -126,7 +151,15 @@ func (e *Emitter) EndTag(name string) {
 }
 
 // Node appends the subtree rooted at n, stopping once a write has failed.
+// With an image, a node with children that the image covers goes out as
+// the image's bytes.
 func (e *Emitter) Node(n *Node) {
+	if e.img != nil && len(n.Children) > 0 {
+		if b := e.img.Subtree(n); b != nil {
+			e.Bytes(b)
+			return
+		}
+	}
 	switch n.Kind {
 	case Text:
 		e.Text(n.Data)
