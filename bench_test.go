@@ -256,33 +256,6 @@ func BenchmarkNaiveQuadratic(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNoPrune quantifies the subtree-pruning design choice:
-// topDown with and without the empty-state-set shortcut.
-func BenchmarkAblationNoPrune(b *testing.B) {
-	c, err := queries.Compile(2) // highly selective: pruning matters most
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("pruned", func(b *testing.B) {
-		doc := benchDoc(b, 0.02)
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := core.EvalTopDown(context.Background(), c, doc, core.DirectChecker{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("noprune", func(b *testing.B) {
-		doc := benchDoc(b, 0.02)
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := core.EvalTopDownNoPrune(context.Background(), c, doc, core.DirectChecker{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkQualifierStrategies compares GENTOP's direct qualifier
 // evaluation against TD-BU's annotated lookups on the complex-qualifier
 // queries.

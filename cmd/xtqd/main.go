@@ -40,7 +40,6 @@ import (
 	_ "net/http/pprof" // registered on DefaultServeMux, served by -debug-addr
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -49,9 +48,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
-	method := flag.String("method", string(xtq.MethodAuto),
-		"in-memory evaluation method ("+strings.Join(append(xtq.MethodNames(), string(xtq.MethodAuto)), ", ")+
-			"); auto runs topdown and reports the decision in ?explain=1 and xtq_plan_decisions_total")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request evaluation timeout (0 = none)")
 	maxBody := flag.Int64("maxbody", 64<<20, "maximum request body size in bytes")
 	maxDepth := flag.Int("maxdepth", 10_000, "maximum element nesting of ingested documents (0 = no limit)")
@@ -86,6 +82,11 @@ func main() {
 
 	var handler http.Handler
 	var closers []func() error
+	// A data node has one engine. It runs method=auto, which resolves to
+	// topdown and reports the decision in ?explain=1 and
+	// xtq_plan_decisions_total; ?method= forces another method for one
+	// request, on this same engine and its caches.
+	eng := xtq.NewEngine(xtq.WithMethod(xtq.MethodAuto), xtq.WithMaxDepth(*maxDepth))
 
 	switch {
 	case *route != "":
@@ -106,12 +107,6 @@ func main() {
 		log.Printf("xtqd: routing %d shard(s)", len(shards))
 
 	case *follow != "":
-		m, err := xtq.ParseMethod(*method)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xtqd:", err)
-			os.Exit(2)
-		}
-		eng := xtq.NewEngine(xtq.WithMethod(m), xtq.WithMaxDepth(*maxDepth))
 		fol, err := xtq.Follow(*follow, eng,
 			xtq.WithFollowDir(*followDir),
 			xtq.WithFollowLogf(log.Printf),
@@ -125,12 +120,6 @@ func main() {
 		log.Printf("xtqd: following %s (%d docs replicated)", *follow, fol.Store().Len())
 
 	default:
-		m, err := xtq.ParseMethod(*method)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "xtqd:", err)
-			os.Exit(2)
-		}
-		eng := xtq.NewEngine(xtq.WithMethod(m), xtq.WithMaxDepth(*maxDepth))
 		var st *xtq.Store
 		if *walDir != "" {
 			policy, err := xtq.ParseFsyncPolicy(*fsync)
@@ -153,7 +142,7 @@ func main() {
 			st = xtq.NewStore(eng)
 		}
 		handler = buildServer(st, nil, *timeout, *maxBody, 0, *heartbeat, slow)
-		log.Printf("xtqd: serving (method=%s, timeout=%s)", m, *timeout)
+		log.Printf("xtqd: serving (timeout=%s)", *timeout)
 	}
 
 	if *debugAddr != "" {

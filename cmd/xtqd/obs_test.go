@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +82,53 @@ func TestExplainReportsMethod(t *testing.T) {
 	}
 	if out.CacheHit == nil || !*out.CacheHit {
 		t.Errorf("repeated explain query_cache_hit = %v, want true", out.CacheHit)
+	}
+}
+
+// metricSample reads one sample line of /metrics (series is the name
+// with its rendered label set); an absent series reads 0.
+func metricSample(t *testing.T, base, series string) float64 {
+	t.Helper()
+	code, _, body := do(t, "GET", base+"/metrics", "", nil)
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: %d", code)
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestForcedMethodSharesQueryCache pins ?method= as an argument of one
+// evaluation on the node's one engine: after one default query, every
+// forced method answers the same bytes, and its prepare is a hit in the
+// compiled-query cache the default query filled — one hit, no miss.
+func TestForcedMethodSharesQueryCache(t *testing.T) {
+	ts := newAutoTestServer(t)
+	if code, _, body := do(t, "PUT", ts.URL+"/docs/d", testDoc, nil); code != http.StatusCreated {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	code, _, want := do(t, "POST", ts.URL+"/docs/d/query", testQuery, nil)
+	if code != http.StatusOK {
+		t.Fatalf("default query: %d %s", code, want)
+	}
+	const hits = `xtq_engine_cache_hits_total{cache="query",role="primary"}`
+	const misses = `xtq_engine_cache_misses_total{cache="query",role="primary"}`
+	for _, m := range []string{"naive", "twopass", "copyupdate", "topdown", "auto"} {
+		h0, m0 := metricSample(t, ts.URL, hits), metricSample(t, ts.URL, misses)
+		code, _, body := do(t, "POST", ts.URL+"/docs/d/query?method="+m, testQuery, nil)
+		if code != http.StatusOK || body != want {
+			t.Fatalf("method=%s: %d %q, want the default answer %q", m, code, body, want)
+		}
+		if h, mi := metricSample(t, ts.URL, hits)-h0, metricSample(t, ts.URL, misses)-m0; h != 1 || mi != 0 {
+			t.Errorf("method=%s: query cache +%v hits +%v misses, want +1/+0", m, h, mi)
+		}
 	}
 }
 

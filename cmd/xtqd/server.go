@@ -36,10 +36,6 @@ type server struct {
 	// slow is the -slow-query-ms threshold; zero disables the
 	// slow-query log.
 	slow time.Duration
-	// engines serves the ?method= override of the query endpoint: one
-	// long-lived engine per evaluation method, each with its own query
-	// cache, built up front so request handling never constructs one.
-	engines map[string]*xtq.Engine
 }
 
 // role reports the node's current role for /metrics and /healthz: a
@@ -67,17 +63,7 @@ func newFollowerServer(fol *xtq.Follower, timeout time.Duration, maxBody int64, 
 
 func buildServer(st *xtq.Store, fol *xtq.Follower, timeout time.Duration, maxBody int64, catchup, heartbeat, slow time.Duration) http.Handler {
 	s := &server{st: st, timeout: timeout, maxBody: maxBody, fol: fol, catchup: catchup,
-		heartbeat: heartbeat, slow: slow, engines: make(map[string]*xtq.Engine)}
-	// One engine per requestable method (?method= swaps engines, so a
-	// forced method never disturbs the serving engine's caches), plus
-	// auto.
-	for _, m := range append(xtq.Methods(), xtq.MethodAuto) {
-		if m == st.Engine().Method() {
-			s.engines[string(m)] = st.Engine()
-		} else {
-			s.engines[string(m)] = xtq.NewEngine(xtq.WithMethod(m))
-		}
-	}
+		heartbeat: heartbeat, slow: slow}
 	mux := http.NewServeMux()
 	// handle registers a route behind the metrics middleware; the
 	// pattern doubles as the route label of the request metrics.
@@ -494,12 +480,14 @@ func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 // handleQuery evaluates a transform query read from the body against
 // the current snapshot of the document, streaming the result document
 // through the Sink layer. ?method= overrides the engine's in-memory
-// method; ?stream=1 uses the two-pass SAX evaluator instead, emitting
-// output as it goes. Note that over an in-memory snapshot the streaming
-// evaluator's two input passes each read a serialization of the tree
-// (Snapshot.Open): the chain's image without a copy once tree-path
-// queries have built it, a fresh buffer before that. Its O(depth) guarantee
-// is about evaluation state, not about the already-resident document.
+// method for this one evaluation, on the node's one engine (so a forced
+// method shares its compiled-query cache); ?stream=1 uses the two-pass
+// SAX evaluator instead, emitting output as it goes. Note that over an
+// in-memory snapshot the streaming evaluator's two input passes each
+// read a serialization of the tree (Snapshot.Open): the chain's image
+// without a copy once tree-path queries have built it, a fresh buffer
+// before that. Its O(depth) guarantee is about evaluation state, not
+// about the already-resident document.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.ctx(r)
 	defer cancel()
@@ -533,7 +521,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	eng := s.st.Engine()
+	var method xtq.Method
 	if m := r.URL.Query().Get("method"); m != "" {
 		if r.URL.Query().Get("stream") == "1" {
 			// stream=1 always evaluates with twoPassSAX; silently
@@ -543,7 +531,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 				Msg: "xtqd: method= cannot be combined with stream=1 (streaming always uses the twoPassSAX evaluator)"})
 			return
 		}
-		if _, err := xtq.ParseMethod(m); err != nil {
+		method, err = xtq.ParseMethod(m)
+		if err != nil {
 			// The unknown-method error is KindEval (it normally means a
 			// misconfigured engine); here it is a client-supplied query
 			// parameter, so surface it as a 400, not a 500.
@@ -555,9 +544,8 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			writeError(w, &xtq.Error{Kind: xtq.KindParse, Msg: msg, Err: err})
 			return
 		}
-		eng = s.engines[m]
 	}
-	p, err := eng.PrepareContext(ctx, src)
+	p, err := s.st.Engine().PrepareContext(ctx, src)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -581,7 +569,12 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := p.Eval(ctx, snap)
+	var res *xtq.Node
+	if method == "" {
+		res, err = p.Eval(ctx, snap)
+	} else {
+		res, err = p.EvalWith(ctx, snap, method)
+	}
 	if err != nil {
 		writeError(w, err)
 		return

@@ -13,21 +13,20 @@ import (
 	"xtq/internal/store"
 )
 
-// DefaultQueryCacheSize is the compiled-query cache capacity of an Engine
-// built without WithQueryCacheSize.
+// DefaultQueryCacheSize is the capacity of every Engine's compiled-query
+// cache.
 const DefaultQueryCacheSize = 128
 
-// DefaultViewCacheSize is the composition-plan cache capacity of an
-// Engine built without WithViewCacheSize. Plans are keyed by (view stack,
-// user query), so the steady state of a service answering a fixed set of
-// user queries over a fixed set of views never rebuilds a plan.
+// DefaultViewCacheSize is the capacity of every Engine's
+// composition-plan cache. Plans are keyed by (view stack, user query),
+// so the steady state of a service answering a fixed set of user
+// queries over a fixed set of views never rebuilds a plan.
 const DefaultViewCacheSize = 64
 
-// DefaultVerdictCacheSize is the impact-verdict cache capacity of an
-// Engine built without WithVerdictCacheSize. Verdicts are keyed by the
-// canonical renderings of (view stack, update query), so a workload
-// with a fixed update vocabulary decides each (view, update) pair's
-// impact exactly once.
+// DefaultVerdictCacheSize is the capacity of every Engine's
+// impact-verdict cache. Verdicts are keyed by the canonical renderings
+// of (view stack, update query), so a workload with a fixed update
+// vocabulary decides each (view, update) pair's impact exactly once.
 const DefaultVerdictCacheSize = 512
 
 // Engine is the long-lived entry point of the package, in the mould of
@@ -40,25 +39,24 @@ const DefaultVerdictCacheSize = 512
 //	                       do delete $a//price return $a`)
 //	view, err := p.Eval(ctx, doc)
 //
-// The engine owns two LRU caches: compiled queries keyed by query source
-// (absorbing repeated Prepare calls — the steady state of a service
-// evaluating a fixed query set over many documents skips both parsing
-// and automaton construction) and view composition plans keyed by
-// (view stack, user query) (absorbing repeated View(...).Prepare calls).
+// The engine owns three LRU caches: compiled queries keyed by query
+// source (absorbing repeated Prepare calls — the steady state of a
+// service evaluating a fixed query set over many documents skips both
+// parsing and automaton construction), view composition plans keyed by
+// (view stack, user query) (absorbing repeated View(...).Prepare calls)
+// and impact verdicts for maintained views. The method is not part of
+// a cache key: Prepared.EvalWith runs any method off the one compiled
+// query.
 type Engine struct {
 	method   Method
 	maxDepth int
 
-	queryCap   int
-	viewCap    int
-	verdictCap int
-	queries    *lruCache // *core.Compiled values
-	plans      *lruCache // *compose.Plan values
-	verdicts   *lruCache // ivm.Verdict values
+	queries  *lruCache // *core.Compiled values
+	plans    *lruCache // *compose.Plan values
+	verdicts *lruCache // ivm.Verdict values
 }
 
-// lruCache is a mutex-guarded LRU keyed by strings. The zero capacity
-// disables it: get always misses without counting, add is a no-op.
+// lruCache is a mutex-guarded LRU keyed by strings.
 type lruCache struct {
 	cap int
 
@@ -91,9 +89,6 @@ func newLRUCache(capacity int, name string) *lruCache {
 
 // get returns the cached value for key, marking it most recently used.
 func (c *lruCache) get(key string) (any, bool) {
-	if c.cap <= 0 {
-		return nil, false
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
@@ -110,9 +105,6 @@ func (c *lruCache) get(key string) (any, bool) {
 // add inserts key → value unless the key raced in since the miss, then
 // evicts down to capacity.
 func (c *lruCache) add(key string, value any) {
-	if c.cap <= 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.byKey[key]; ok {
@@ -136,45 +128,13 @@ func (c *lruCache) stats() (hits, misses uint64, size int) {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithMethod selects the in-memory evaluation method Prepared.Eval uses;
-// the default is MethodTopDown, the paper's best-performing general
-// method ("GENTOP"). MethodAuto (alias Auto) runs as MethodTopDown too,
-// and additionally reports the decision: a plan section in the request's
-// trace and a count in xtq_plan_decisions_total.
+// WithMethod selects the in-memory evaluation method Prepared.Eval uses
+// (Prepared.EvalWith names one per evaluation instead); the default is
+// MethodTopDown, the paper's best-performing general method ("GENTOP").
+// MethodAuto (alias Auto) runs as MethodTopDown too, and additionally
+// reports the decision: a plan section in the request's trace and a
+// count in xtq_plan_decisions_total.
 func WithMethod(m Method) Option { return func(e *Engine) { e.method = m } }
-
-// WithQueryCacheSize sets the capacity of the compiled-query cache; zero
-// disables caching, negative values leave the default in place.
-func WithQueryCacheSize(n int) Option {
-	return func(e *Engine) {
-		if n >= 0 {
-			e.queryCap = n
-		}
-	}
-}
-
-// WithViewCacheSize sets the capacity of the view composition-plan
-// cache; zero disables caching, negative values leave the default in
-// place.
-func WithViewCacheSize(n int) Option {
-	return func(e *Engine) {
-		if n >= 0 {
-			e.viewCap = n
-		}
-	}
-}
-
-// WithVerdictCacheSize sets the capacity of the impact-verdict cache
-// maintained materialized views consult on every commit; zero disables
-// caching (every commit re-analyzes), negative values leave the default
-// in place.
-func WithVerdictCacheSize(n int) Option {
-	return func(e *Engine) {
-		if n >= 0 {
-			e.verdictCap = n
-		}
-	}
-}
 
 // WithMaxDepth bounds element nesting when the engine parses input
 // documents (Prepared.Eval over file/bytes/reader sources); zero, the
@@ -185,22 +145,16 @@ func WithMaxDepth(d int) Option { return func(e *Engine) { e.maxDepth = d } }
 // NewEngine builds an Engine from functional options.
 func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
-		method:     MethodTopDown,
-		queryCap:   DefaultQueryCacheSize,
-		viewCap:    DefaultViewCacheSize,
-		verdictCap: DefaultVerdictCacheSize,
+		method:   MethodTopDown,
+		queries:  newLRUCache(DefaultQueryCacheSize, "query"),
+		plans:    newLRUCache(DefaultViewCacheSize, "plan"),
+		verdicts: newLRUCache(DefaultVerdictCacheSize, "verdict"),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.queries = newLRUCache(e.queryCap, "query")
-	e.plans = newLRUCache(e.viewCap, "plan")
-	e.verdicts = newLRUCache(e.verdictCap, "verdict")
 	return e
 }
-
-// Method returns the evaluation method Prepared.Eval uses.
-func (e *Engine) Method() Method { return e.method }
 
 // Prepare parses and compiles a transform query, or retrieves the
 // compiled form from the engine's cache. The returned Prepared is
@@ -298,13 +252,6 @@ func (e *Engine) CacheStats() (hits, misses uint64, size int) {
 // plans.
 func (e *Engine) ViewCacheStats() (hits, misses uint64, size int) {
 	return e.plans.stats()
-}
-
-// VerdictCacheStats reports impact-verdict cache effectiveness: hits
-// and misses since the engine was built, and the current number of
-// cached (view stack, update) verdicts.
-func (e *Engine) VerdictCacheStats() (hits, misses uint64, size int) {
-	return e.verdicts.stats()
 }
 
 // verdictCache adapts the engine's LRU to the maintenance layer's

@@ -10,10 +10,15 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xtq/internal/core"
+	"xtq/internal/obs"
+	"xtq/internal/queries"
 )
 
 func TestEngineCacheHitsAndEviction(t *testing.T) {
-	eng := NewEngine(WithQueryCacheSize(2))
+	eng := NewEngine()
+	eng.queries = newLRUCache(2, "query") // a small cache makes eviction cheap to reach
 	q1 := `transform copy $a := doc("d") modify do delete $a//price return $a`
 	q2 := `transform copy $a := doc("d") modify do delete $a//sname return $a`
 	q3 := `transform copy $a := doc("d") modify do delete $a//country return $a`
@@ -50,17 +55,77 @@ func TestEngineCacheHitsAndEviction(t *testing.T) {
 	if hits, misses, _ := eng.CacheStats(); hits != 1 || misses != 4 {
 		t.Errorf("evicted query re-prepare: hits=%d misses=%d, want 1/4", hits, misses)
 	}
+}
 
-	// Cache disabled: every Prepare compiles afresh.
-	off := NewEngine(WithQueryCacheSize(0))
-	if _, err := off.Prepare(q1); err != nil {
+// TestEvalWithEveryMethod runs every method as an evaluation argument
+// on one engine: over U1–U10 × the four update kinds each method's
+// result equals the copy-then-update oracle, and the engine compiles
+// each query once, whatever the methods its evaluations name.
+func TestEvalWithEveryMethod(t *testing.T) {
+	ctx := context.Background()
+	doc, err := GenerateXMark(XMarkConfig{Factor: 0.002, Seed: 42})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := off.Prepare(q1); err != nil {
-		t.Fatal(err)
+	eng := NewEngine()
+	for i := 1; i <= 10; i++ {
+		for _, op := range allOps {
+			p := mustPrepare(t, eng, queries.TransformOp(i, op).String())
+			oracle, err := p.EvalWith(ctx, doc, MethodCopyUpdate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracle.String()
+			for _, m := range append(Methods(), MethodAuto) {
+				got, err := p.EvalWith(ctx, doc, m)
+				if err != nil {
+					t.Fatalf("U%d %s %s: %v", i, op, m, err)
+				}
+				if got.String() != want {
+					t.Fatalf("U%d %s: %s differs from copyupdate", i, op, m)
+				}
+			}
+		}
 	}
-	if hits, _, size := off.CacheStats(); hits != 0 || size != 0 {
-		t.Errorf("disabled cache recorded hits=%d size=%d", hits, size)
+	if hits, misses, _ := eng.CacheStats(); hits != 0 || misses != 10*uint64(len(allOps)) {
+		t.Errorf("cache hits=%d misses=%d, want 0/%d: one compile per query", hits, misses, 10*len(allOps))
+	}
+
+	// The method the trace reports is the evaluation's, not the
+	// engine's: a forced method carries no plan section, auto does.
+	p := mustPrepare(t, NewEngine(WithMethod(MethodAuto)), queries.Transform(1).String())
+	for _, m := range []Method{MethodNaive, MethodAuto} {
+		tr := obs.NewTrace()
+		if _, err := p.EvalWith(obs.WithTrace(ctx, tr), doc, m); err != nil {
+			t.Fatal(err)
+		}
+		if auto := m == MethodAuto; tr.Method() != string(core.Resolve(m)) || (tr.Plan() != nil) != auto {
+			t.Errorf("EvalWith(%s): trace method %q, plan %+v", m, tr.Method(), tr.Plan())
+		}
+	}
+}
+
+// openCounter is a Source that counts its Opens and never yields a
+// document.
+type openCounter struct{ opens int }
+
+func (o *openCounter) Open() (io.ReadCloser, error) {
+	o.opens++
+	return io.NopCloser(failingReader{}), nil
+}
+
+// TestEvalWithUnknownMethod rejects a method name before reading the
+// source: the error is typed KindEval, not the source's KindIO.
+func TestEvalWithUnknownMethod(t *testing.T) {
+	p := mustPrepare(t, NewEngine(), `transform copy $a := doc("d") modify do delete $a//price return $a`)
+	src := &openCounter{}
+	_, err := p.EvalWith(context.Background(), src, Method("bogus"))
+	var xe *Error
+	if !errors.As(err, &xe) || xe.Kind != KindEval || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("EvalWith(bogus) = %v, want a KindEval unknown-method error", err)
+	}
+	if src.opens != 0 {
+		t.Errorf("source opened %d times before the method was checked", src.opens)
 	}
 }
 

@@ -90,14 +90,6 @@ func WithFollowDir(dir string) FollowOption {
 	return func(c *followConfig) { c.o.Dir = dir }
 }
 
-// WithFollowCheckpointEvery writes a local checkpoint after n applied
-// log bytes (only meaningful with WithFollowDir). Default 8 MiB;
-// negative disables periodic checkpoints (one is still written on
-// Close).
-func WithFollowCheckpointEvery(n int64) FollowOption {
-	return func(c *followConfig) { c.o.CheckpointEvery = n }
-}
-
 // WithFollowPoll sets the long-poll wait per feed request. Default 2s.
 func WithFollowPoll(d time.Duration) FollowOption {
 	return func(c *followConfig) { c.o.Poll = d }

@@ -45,11 +45,22 @@ func (p *Prepared) String() string { return p.compiled.Query.String() }
 // subtrees with an input other goroutines are still evaluating — are
 // safe.
 func (p *Prepared) Eval(ctx context.Context, src Source) (*Node, error) {
+	return p.EvalWith(ctx, src, p.eng.method)
+}
+
+// EvalWith is Eval with the method m in place of the engine's: the
+// method is a property of one evaluation, so one engine (and its one
+// query cache) serves every method. MethodAuto runs MethodTopDown and
+// reports the decision, as on an engine built WithMethod(MethodAuto).
+// An unknown m fails with a KindEval error before src is read.
+func (p *Prepared) EvalWith(ctx context.Context, src Source, m Method) (*Node, error) {
+	if _, err := core.ParseMethod(string(m)); err != nil {
+		return nil, err
+	}
 	doc, err := p.eng.parse(ctx, src)
 	if err != nil {
 		return nil, err
 	}
-	m := p.eng.method
 	tr := obs.TraceFrom(ctx)
 	if m == core.MethodAuto {
 		dec := plan.Choose(p.compiled, nil)

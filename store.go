@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"xtq/internal/core"
 	"xtq/internal/ivm"
@@ -124,21 +123,9 @@ func WithFsync(p FsyncPolicy) StoreOption {
 	return func(c *storeConfig) { c.opts.Fsync = p }
 }
 
-// WithSyncInterval sets the FsyncInterval flush period. Default 25ms.
-func WithSyncInterval(d time.Duration) StoreOption {
-	return func(c *storeConfig) { c.opts.SyncEvery = d }
-}
-
 // WithSegmentBytes sets the log segment rotation size. Default 64 MiB.
 func WithSegmentBytes(n int64) StoreOption {
 	return func(c *storeConfig) { c.opts.SegmentBytes = n }
-}
-
-// WithHistoryDepth sets the per-document ring of recent snapshots that
-// SnapshotAt serves lock- and allocation-free. Default 8; negative
-// disables the ring (history then always replays the log).
-func WithHistoryDepth(n int) StoreOption {
-	return func(c *storeConfig) { c.opts.HistoryDepth = n }
 }
 
 // WithCheckpointEvery enables the background checkpointer: a checkpoint
@@ -323,10 +310,10 @@ func (s *Store) Len() int { return s.st.Len() }
 // name replaces the stack. The returned View is also usable directly.
 //
 // The view is maintained lazily: its materialization builds on the
-// first ViewDocument read and is then kept current across commits —
-// delta-updated when possible, version-bumped for free when impact
-// analysis proves a commit cannot affect it. RegisterMaterializedView
-// maintains eagerly instead.
+// first ViewAt read of a current snapshot and is then kept current
+// across commits — delta-updated when possible, version-bumped for free
+// when impact analysis proves a commit cannot affect it.
+// RegisterMaterializedView maintains eagerly instead.
 func (s *Store) RegisterView(name string, transformSrcs ...string) (*View, error) {
 	return s.registerView(name, false, transformSrcs...)
 }

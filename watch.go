@@ -81,22 +81,13 @@ func (s *Store) WatchFrom(name string, from uint64) *Subscription {
 	return s.hub.Subscribe(name, from, true, head)
 }
 
-// ViewDocument serves the materialization of a registered view over
-// the current snapshot of name, maintained incrementally across
-// commits: reads at the maintained version return the cached tree
-// (stats.Source == "cache"), anything else evaluates on demand. The
-// returned tree is immutable; serialize it, do not index it.
-func (s *Store) ViewDocument(ctx context.Context, name, view string) (*Node, MatViewStats, error) {
-	snap, err := s.st.Snapshot(name)
-	if err != nil {
-		return nil, MatViewStats{}, classify(err, KindNotFound)
-	}
-	return s.ViewAt(ctx, snap, view)
-}
-
-// ViewAt is ViewDocument over an explicit snapshot — time-travel reads
-// of a view at any version SnapshotAt can serve. Reads below the
-// maintained version evaluate on demand without disturbing the cache.
+// ViewAt serves the materialization of a registered view over snap,
+// maintained incrementally across commits: a read of the maintained
+// version (the current snapshot, once materialized) returns the cached
+// tree (stats.Source == "cache"); anything else evaluates on demand,
+// including time-travel reads at any version SnapshotAt can serve,
+// without disturbing the cache. The returned tree is immutable;
+// serialize it, do not index it.
 func (s *Store) ViewAt(ctx context.Context, snap *Snapshot, view string) (*Node, MatViewStats, error) {
 	out, stats, err := s.mgr.Get(ctx, snap, view)
 	if err != nil {
