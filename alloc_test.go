@@ -134,10 +134,10 @@ func TestEmitAllocs(t *testing.T) {
 	}
 }
 
-// TestImageEmitAllocs pins the same path with the snapshot's image: a
+// TestImageEmitAllocs pins the same path over an imaged snapshot: a
 // query result over an imaged XMark 0.01 snapshot goes out as a few
-// walked spine nodes and copied byte ranges, allocating no more than the
-// plain walk.
+// walked spine nodes and byte ranges copied from the image the emitter
+// finds, allocating no more than the plain walk.
 func TestImageEmitAllocs(t *testing.T) {
 	ctx := context.Background()
 	doc, err := xmark.Generate(xmark.Config{Factor: 0.01, Seed: 42})
@@ -158,11 +158,13 @@ func TestImageEmitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !copiesFromImage(res, img) {
+		t.Fatal("the result copies nothing from the image")
+	}
 	var cd countingDiscard
 	const maxAllocs = 4
 	if got := testing.AllocsPerRun(100, func() {
 		w := sax.NewWriter(&cd)
-		w.UseImage(img)
 		if err := sax.Emit(res, w); err != nil {
 			t.Fatal(err)
 		}

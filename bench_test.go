@@ -494,12 +494,14 @@ func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); r
 // the same XMark 0.05 document (≈2.1 MB, 92 k nodes): the event walk
 // every xtqd query response takes (sax.Emit into a sax.Writer), the
 // pointer walk (Node.WriteXML) and the same walk over a sealed,
-// arena-backed snapshot (Snapshot.WriteXML). Two more legs run over a
-// second snapshot of the document whose chain image is built:
-// image_emit serializes the 40 topdown results of U1-U10 under every
-// update kind through the image, as xtqd answers queries, and
-// snapshot_writexml_image is Snapshot.WriteXML with the image. MB/s is
-// the figure to compare.
+// arena-backed snapshot (Snapshot.WriteXML); no image covers that
+// document, so all three walk it. Three more legs run over a second
+// snapshot of the document whose chain image is built: image_emit
+// serializes the 40 topdown results of U1-U10 under every update kind,
+// as xtqd answers queries, view_emit the maintained view of the
+// update_commit workload (delete U5, then rename U1 as member), and
+// snapshot_writexml_image is Snapshot.WriteXML. Each copies what the
+// image covers. MB/s is the figure to compare.
 func BenchmarkSerialize(b *testing.B) {
 	ctx := context.Background()
 	doc := benchDoc(b, 0.05)
@@ -518,6 +520,9 @@ func BenchmarkSerialize(b *testing.B) {
 		b.Fatal(err)
 	}
 	img, _ := imaged.Index().Image()
+	if copiesFromImage(doc, img) || copiesFromImage(doc, snap.Index().LoadImage()) {
+		b.Fatal("an image covers the walked document")
+	}
 	var results []*tree.Node
 	for i := 1; i <= 10; i++ {
 		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
@@ -532,24 +537,24 @@ func BenchmarkSerialize(b *testing.B) {
 			results = append(results, res)
 		}
 	}
-	for _, c := range []struct {
-		name  string
-		write func(w io.Writer) error
-	}{
-		{"sax_emit", func(w io.Writer) error {
-			sw := sax.NewWriter(w)
-			if err := sax.Emit(doc, sw); err != nil {
-				return err
-			}
-			return sw.Flush()
-		}},
-		{"node_writexml", doc.WriteXML},
-		{"snapshot_writexml", snap.WriteXML},
-		{"image_emit", func(w io.Writer) error {
-			for _, res := range results {
+	if _, err := st.RegisterView("v",
+		`transform copy $a := doc("imaged") modify do delete $a`+queries.U[5]+` return $a`,
+		`transform copy $a := doc("imaged") modify do rename $a`+queries.U[1]+` as member return $a`,
+	); err != nil {
+		b.Fatal(err)
+	}
+	view, _, err := st.ViewAt(ctx, imaged, "v")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !copiesFromImage(view, img) {
+		b.Fatal("the view copies nothing from the image")
+	}
+	emit := func(trees ...*tree.Node) func(io.Writer) error {
+		return func(w io.Writer) error {
+			for _, n := range trees {
 				sw := sax.NewWriter(w)
-				sw.UseImage(img)
-				if err := sax.Emit(res, sw); err != nil {
+				if err := sax.Emit(n, sw); err != nil {
 					return err
 				}
 				if err := sw.Flush(); err != nil {
@@ -557,7 +562,17 @@ func BenchmarkSerialize(b *testing.B) {
 				}
 			}
 			return nil
-		}},
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		write func(w io.Writer) error
+	}{
+		{"sax_emit", emit(doc)},
+		{"node_writexml", doc.WriteXML},
+		{"snapshot_writexml", snap.WriteXML},
+		{"image_emit", emit(results...)},
+		{"view_emit", emit(view)},
 		{"snapshot_writexml_image", imaged.WriteXML},
 	} {
 		b.Run(c.name, func(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -354,6 +355,61 @@ func TestStreamMatchesTreeWithImage(t *testing.T) {
 				t.Fatalf("U%d %s: stream body (%d bytes) differs from the tree body (%d bytes)", i, op, len(stream), len(body))
 			}
 		}
+	}
+}
+
+// TestMaintainedViewReadBuildsImage: a read of a maintained view is a
+// read of its base chain. The first GET walks, the second builds the
+// chain's image (one more xtq_store_image_builds_total) and the third
+// builds nothing; all three answer the same bytes. Composed ?q= reads
+// build no image, however often a document is read.
+func TestMaintainedViewReadBuildsImage(t *testing.T) {
+	ts := newTestServer(t)
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"d", "e"} {
+		if code, _, body := do(t, "PUT", ts.URL+"/docs/"+name, doc.String(), nil); code != http.StatusCreated {
+			t.Fatalf("put %s: %d %s", name, code, body)
+		}
+	}
+	stack, err := json.Marshal([]string{
+		`transform copy $a := doc("d") modify do delete $a` + queries.U[5] + ` return $a`,
+		`transform copy $a := doc("d") modify do rename $a` + queries.U[1] + ` as member return $a`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := do(t, "PUT", ts.URL+"/views/v", string(stack), nil); code != http.StatusCreated {
+		t.Fatalf("register view: %d %s", code, body)
+	}
+	builds := func() float64 { return metricSample(t, ts.URL, `xtq_store_image_builds_total{role="primary"}`) }
+	before := builds()
+	var first string
+	for i, want := range []float64{0, 1, 1} {
+		code, _, body := do(t, "GET", ts.URL+"/docs/d/views/v", "", nil)
+		if code != http.StatusOK || !strings.Contains(body, "<member ") {
+			t.Fatalf("view read %d: %d %.80q", i+1, code, body)
+		}
+		if got := builds() - before; got != want {
+			t.Fatalf("after view read %d: %v image builds, want %v", i+1, got, want)
+		}
+		if i == 0 {
+			first = body
+		} else if body != first {
+			t.Fatalf("view read %d differs from the first (%d vs %d bytes)", i+1, len(body), len(first))
+		}
+	}
+	q := url.QueryEscape(`for $x in /site/people/member[@id = "person0"] return $x`)
+	before = builds()
+	for i := 0; i < 20; i++ {
+		if code, _, body := do(t, "GET", ts.URL+"/docs/e/views/v?q="+q, "", nil); code != http.StatusOK {
+			t.Fatalf("composed read %d: %d %s", i+1, code, body)
+		}
+	}
+	if got := builds() - before; got != 0 {
+		t.Fatalf("20 composed reads built %v images, want 0", got)
 	}
 }
 

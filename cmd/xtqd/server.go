@@ -14,7 +14,6 @@ import (
 	"xtq"
 	"xtq/internal/obs"
 	"xtq/internal/sax"
-	"xtq/internal/tree"
 )
 
 // server routes HTTP requests onto one xtq.Store. All handlers are
@@ -588,23 +587,21 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	// The one place an image is built (on the chain's second read): the
-	// result shares every subtree the update cannot touch with the
-	// snapshot, and those go out as the image's bytes.
-	writeResult(w, snap, res, snap.Image())
+	// A query reads the snapshot's chain: its second read builds the
+	// image, which the result's untouched subtrees are copied from.
+	snap.Image()
+	writeResult(w, snap, res)
 }
 
 // writeResult serializes a result tree to the response, stamping the
-// snapshot version it was computed over and copying every subtree img
-// (which may be nil) covers. A failed write (the client went away) stops
-// the walk at once; it can only leave a truncated body (the status
-// already went out with the first flush), so it is not separately
+// snapshot version it was computed over. A failed write (the client went
+// away) stops the walk at once; it can only leave a truncated body (the
+// status already went out with the first flush), so it is not separately
 // reported.
-func writeResult(w http.ResponseWriter, snap *xtq.Snapshot, res *xtq.Node, img *tree.Image) {
+func writeResult(w http.ResponseWriter, snap *xtq.Snapshot, res *xtq.Node) {
 	versionHeaders(w, snap)
 	w.Header().Set("Content-Type", "application/xml")
 	sw := sax.NewWriter(w)
-	sw.UseImage(img)
 	if err := sax.Emit(res, sw); err != nil {
 		return
 	}
@@ -692,7 +689,8 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 		// visit counters).
 		composedVisited int
 	)
-	if q := r.URL.Query().Get("q"); q != "" {
+	q := r.URL.Query().Get("q")
+	if q != "" {
 		v, err := s.st.LookupView(r.PathValue("view"))
 		if err != nil {
 			writeError(w, err)
@@ -748,7 +746,12 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	writeResult(w, snap, res, nil)
+	if q == "" {
+		// A maintained view shares its base's untouched subtrees, so it
+		// reads the base chain like a query; a small ?q= result does not.
+		snap.Image()
+	}
+	writeResult(w, snap, res)
 }
 
 // viewMeta is the JSON shape of one registered view.

@@ -15,13 +15,12 @@ import (
 	"xtq/internal/xmark"
 )
 
-// emitImage serializes n the way xtqd answers a query: sax.Emit into a
-// sax.Writer that copies what img (nil: nothing) covers.
-func emitImage(t *testing.T, n *tree.Node, img *tree.Image) string {
+// emitted serializes n the way xtqd answers a query: sax.Emit into a
+// sax.Writer, which copies every subtree a chain image covers.
+func emitted(t *testing.T, n *tree.Node) string {
 	t.Helper()
 	var b bytes.Buffer
 	sw := sax.NewWriter(&b)
-	sw.UseImage(img)
 	if err := sax.Emit(n, sw); err != nil {
 		t.Fatal(err)
 	}
@@ -31,8 +30,12 @@ func emitImage(t *testing.T, n *tree.Node, img *tree.Image) string {
 	return b.String()
 }
 
+// walked serializes n without any image: an unstamped deep copy, which
+// no chain covers.
+func walked(t *testing.T, n *tree.Node) string { return emitted(t, n.DeepCopy()) }
+
 // copiesFromImage reports whether img covers some node of the tree at n,
-// i.e. whether emitting n through it copies at least one subtree.
+// i.e. whether emitting n copies at least one subtree from it.
 func copiesFromImage(n *tree.Node, img *tree.Image) bool {
 	stack := []*tree.Node{n}
 	for len(stack) > 0 {
@@ -50,8 +53,10 @@ var allOps = []core.Op{core.Insert, core.Delete, core.Rename, core.Replace}
 
 // TestImageEmitMatchesCopyUpdate: for U1-U10 under every update kind, the
 // topdown result over an imaged snapshot serializes to the same bytes
-// with the image, without it, and as the copy-then-update oracle's
-// result — and the image is actually used.
+// through the image, walked, and as the copy-then-update oracle's result
+// — and the image is actually used. The same holds for a maintained view
+// (update_commit's layers: delete U5, then rename U1 as member) after an
+// insert/delete pair of commits, against the sequential materialization.
 func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 	ctx := context.Background()
 	for _, factor := range []float64{0.001, 0.01} {
@@ -82,17 +87,78 @@ func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := emitImage(t, oracle, nil)
-				if got := emitImage(t, res, nil); got != want {
+				want := walked(t, oracle)
+				if got := walked(t, res); got != want {
 					t.Fatalf("%g U%d %s: topdown differs from copyupdate", factor, i, op)
 				}
-				if got := emitImage(t, res, img); got != want {
+				if got := emitted(t, res); got != want {
 					t.Fatalf("%g U%d %s: emission through the image differs", factor, i, op)
 				}
 				if !copiesFromImage(res, img) {
 					t.Fatalf("%g U%d %s: the result shares nothing the image covers", factor, i, op)
 				}
 			}
+		}
+	}
+
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.01, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(nil)
+	if _, _, err := st.Put(ctx, "d", doc); err != nil {
+		t.Fatal(err)
+	}
+	transform := func(op string) string {
+		return `transform copy $a := doc("d") modify do ` + op + ` return $a`
+	}
+	v, err := st.RegisterView("v", transform("delete $a"+queries.U[5]), transform("rename $a"+queries.U[1]+" as member"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := v.Prepare(`for $x in /site return $x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	person := `$a/site/people/person[@id = "person10"]`
+	for step, op := range []string{"", "insert <bench_note/> into " + person, "delete " + person + "/bench_note"} {
+		snap, err := st.Snapshot("d")
+		if op != "" {
+			snap, _, err = st.Apply(ctx, "d", transform(op))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.ViewAt(ctx, snap, "v"); err != nil {
+			t.Fatal(err)
+		}
+		seq, err := whole.EvalSequential(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := walked(t, seq)
+		want = want[len("<result>") : len(want)-len("</result>")]
+		img := snap.Index().LoadImage()
+		if step == 1 {
+			// Imaged between the two commits: the delete's version
+			// shares every subtree the image covers but the new spine.
+			img, _ = snap.Index().Image()
+		}
+		res, stats, err := st.ViewAt(ctx, snap, "v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if step > 0 && stats.Source != "cache" {
+			t.Fatalf("step %d: view served from %q, want the maintained cache", step, stats.Source)
+		}
+		if got := walked(t, res); got != want {
+			t.Fatalf("step %d (%s): maintained view differs from the sequential materialization", step, op)
+		}
+		if got := emitted(t, res); got != want {
+			t.Fatalf("step %d (%s): emission through the image differs", step, op)
+		}
+		if copies := copiesFromImage(res, img); copies != (img != nil) {
+			t.Fatalf("step %d (%s): view copies from the base image: %v, want %v", step, op, copies, img != nil)
 		}
 	}
 }
@@ -146,7 +212,7 @@ func TestImageAcrossVersions(t *testing.T) {
 		snap *Snapshot
 		xml  string
 	}
-	history := []version{{snap, snap.Root().String()}}
+	history := []version{{snap, snap.Root().DeepCopy().String()}}
 	rng := rand.New(rand.NewSource(1))
 	labels := []string{"part", "pname", "price", "nw", "zz"}
 	chains := 0
@@ -178,7 +244,7 @@ func TestImageAcrossVersions(t *testing.T) {
 		} else if k < compactAt && cur != img {
 			t.Fatalf("commit %d: the chain's image was replaced", k)
 		}
-		plain := snap.Root().String()
+		plain := snap.Root().DeepCopy().String()
 		if got := bytesOf(snap); got != plain {
 			t.Fatalf("commit %d (%s): WriteXML through the image differs from the walk", k, q)
 		}
@@ -191,8 +257,9 @@ func TestImageAcrossVersions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := emitImage(t, oracle, nil)
-			if got := emitImage(t, res, snap.Image()); got != want {
+			want := walked(t, oracle)
+			snap.Image() // the compaction's new chain is imaged on its second read
+			if got := emitted(t, res); got != want {
 				t.Fatalf("commit %d (%s): query result through the image differs", k, q)
 			}
 		}

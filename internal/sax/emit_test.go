@@ -63,8 +63,10 @@ func refXML(b *bytes.Buffer, n *tree.Node) {
 // event walk (sax.Emit into a sax.Writer, xtqd's query responses), the
 // pointer walk (Node.WriteXML) and a store snapshot frozen from the
 // document (Snapshot.WriteXML — GET /docs/{name}, checkpoints, follower
-// bootstrap); the last and the event walk also run with the snapshot's
-// chain image, which copies covered subtrees instead of walking them.
+// bootstrap). The last also runs with the snapshot's chain image, and the
+// event walk over a result mixing chains with and without one: every
+// emitter copies the subtrees a chain image covers instead of walking
+// them.
 type serializer struct {
 	name  string
 	write func(doc *tree.Node, w io.Writer) error
@@ -94,25 +96,38 @@ var serializers = []serializer{
 		snap.Index().Image()
 		return snap.WriteXML(w)
 	}},
-	{"sax.Emit (image, new root)", func(doc *tree.Node, w io.Writer) error {
-		snap, _, err := store.New().Put("d", doc, false)
-		if err != nil {
-			return err
+	{"sax.Emit (new root over three chains, two imaged)", func(doc *tree.Node, w io.Writer) error {
+		// Three frozen copies of doc, the first two imaged, under a fresh
+		// spine down to the first node with several children, whose
+		// children come from the copies in turn: the shape of a view
+		// result mixing chains. The walk emits the spine and copies each
+		// child its chain's image covers.
+		var roots [3]*tree.Node
+		for i := range roots {
+			var ix *tree.Index
+			roots[i], ix, _ = tree.Freeze(doc, nil)
+			if i < 2 {
+				ix.Image()
+			}
 		}
-		// A fresh root (and root element) over the snapshot's children: the
-		// walk emits them and copies each child the image covers, the shape
-		// of a query result.
 		fresh := func(n *tree.Node) *tree.Node {
 			return &tree.Node{Kind: n.Kind, Label: n.Label, Attrs: n.Attrs, Data: n.Data, Children: n.Children}
 		}
-		r := snap.Root()
-		spine := fresh(r)
-		if r.Kind == tree.Document && len(r.Children) == 1 {
-			spine.Children = []*tree.Node{fresh(r.Children[0])}
+		src := roots // the copies' nodes under the spine's deepest node
+		spine := fresh(src[0])
+		at := spine
+		for len(at.Children) == 1 && len(at.Children[0].Children) > 0 {
+			for i := range src {
+				src[i] = src[i].Children[0]
+			}
+			at.Children = []*tree.Node{fresh(src[0])}
+			at = at.Children[0]
 		}
-		img, _ := snap.Index().Image()
+		at.Children = make([]*tree.Node, len(src[0].Children))
+		for i := range at.Children {
+			at.Children[i] = src[i%3].Children[i]
+		}
 		sw := sax.NewWriter(w)
-		sw.UseImage(img)
 		if err := sax.Emit(spine, sw); err != nil {
 			return err
 		}

@@ -22,10 +22,6 @@ func NewWriter(w io.Writer) *Writer {
 	return &Writer{e: tree.NewEmitter(w)}
 }
 
-// UseImage makes Emit copy every subtree img covers from the image's
-// bytes (see tree.Image); nil turns copying off.
-func (s *Writer) UseImage(img *tree.Image) { s.e.UseImage(img) }
-
 // Flush writes buffered output to the underlying writer; repeatable.
 func (s *Writer) Flush() error { return s.e.Flush() }
 

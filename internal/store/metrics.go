@@ -29,7 +29,7 @@ var (
 	mCheckpointSeconds = obs.Default.Histogram("xtq_store_checkpoint_seconds",
 		"Checkpoint duration (capture, serialize, publish, GC).")
 	mImageBuilds = obs.Default.Counter("xtq_store_image_builds_total",
-		"Serialized chain images built (at most one per version chain).")
+		"Serialized chain images built on a chain's second transform query or maintained-view read (at most one per version chain).")
 	mImageBytes = obs.Default.Counter("xtq_store_image_bytes_total",
 		"Bytes of the serialized chain images built.")
 )

@@ -99,36 +99,30 @@ func (s *Snapshot) Deleted() bool { return s.deleted() }
 // snapshot like over a file. In-memory evaluation never goes through
 // Open — the engine unwraps the tree directly. When the chain's image
 // covers the root, the reader serves the image's bytes without a copy;
-// otherwise the snapshot is emitted through whatever the image covers
+// otherwise the snapshot is emitted, copying whatever the image covers,
 // into one buffer. Open never builds an image.
 func (s *Snapshot) Open() (io.ReadCloser, error) {
-	img := s.ix.LoadImage()
-	if b := img.Subtree(s.root); b != nil {
+	if b := s.ix.LoadImage().Subtree(s.root); b != nil {
 		return io.NopCloser(bytes.NewReader(b)), nil
 	}
 	var buf bytes.Buffer
-	s.emit(&buf, img)
+	s.WriteXML(&buf)
 	return io.NopCloser(&buf), nil
 }
 
 // WriteXML serializes the snapshot to w, copying what the chain's image
 // covers when one exists. It never builds an image.
-func (s *Snapshot) WriteXML(w io.Writer) error { return s.emit(w, s.ix.LoadImage()) }
-
-func (s *Snapshot) emit(w io.Writer, img *tree.Image) error {
-	e := tree.NewEmitter(w)
-	e.UseImage(img)
-	e.Node(s.root)
-	return e.Flush()
-}
+func (s *Snapshot) WriteXML(w io.Writer) error { return s.root.WriteXML(w) }
 
 // Image returns the serialized image of the snapshot's version chain
 // (see tree.Image), building it from this snapshot on the chain's second
-// read: the first read of a chain gets nil and walks. Building costs
-// about one walk more than answering a read without an image, so only a
-// chain read again earns its image, and a document read once never
-// holds one. Only the calls that build an image are counted on the
-// registry.
+// read: the first read of a chain gets nil and walks. A read is a
+// transform query or a read of a maintained view over the chain.
+// Building costs about one walk more than answering a read without an
+// image, so only a chain read again earns its image, and a document read
+// once never holds one. Every emitter copies from the image once it
+// exists, whoever built it. Only the calls that build an image are
+// counted on the registry.
 func (s *Snapshot) Image() *tree.Image {
 	if img := s.ix.LoadImage(); img != nil || !s.ix.Reread() {
 		return img

@@ -7,17 +7,19 @@ import (
 
 // Image is the serialized form of one version of a document chain: the
 // bytes Emitter.Node writes for the version's root, plus the byte range
-// of every element or document node with children, by ordinal. An
-// emitter given the image (Emitter.UseImage) copies the range of every
-// node it covers instead of walking and escaping the subtree.
+// of every element or document node with children, by ordinal. Every
+// Emitter finds the image of the chain that stamped each node it emits
+// and copies the node's range instead of walking and escaping the
+// subtree, so a tree mixing subtrees of several imaged chains (a query
+// or view result over a snapshot) goes out mostly as copied bytes.
 //
 // One image serves every version of its chain, and no commit invalidates
 // it: a stamped node's subtree never changes, and an ordinal is never
-// reused within a chain. A node the image does not cover is walked as
-// usual: one stamped by another chain, one created after the image (its
-// tail ordinal is past the table), or one not reachable in the imaged
-// version (its range was never set). Compaction starts a new chain, which
-// has no image until one is built from it.
+// reused within a chain. A node no image covers is walked as usual: an
+// unstamped one, one of a chain without an image, one created after the
+// image (its tail ordinal is past the table), or one not reachable in
+// the imaged version (its range was never set). Compaction starts a new
+// chain, which has no image until one is built from it.
 type Image struct {
 	data  []byte
 	spans []span // by ordinal; end == 0 means not covered
@@ -33,18 +35,23 @@ func (img *Image) Len() int { return len(img.data) }
 // when img (which may be nil) does not cover n. The slice aliases the
 // image: treat it as read-only.
 func (img *Image) Subtree(n *Node) []byte {
-	if img == nil {
-		return nil
+	if found, b := imaged(n); found == img {
+		return b
 	}
-	o := n.idx.Load()
-	if o == nil || o.chain == nil || o.chain.img.Load() != img || uint(n.ord) >= uint(len(img.spans)) {
-		return nil
+	return nil
+}
+
+// imaged returns the image of the chain that stamped n and n's range in
+// it, or a nil range when no image covers n.
+func imaged(n *Node) (img *Image, b []byte) {
+	if o := n.idx.Load(); o != nil && o.chain != nil {
+		img = o.chain.img.Load()
+	}
+	if img == nil || uint(n.ord) >= uint(len(img.spans)) || img.spans[n.ord].end == 0 {
+		return img, nil
 	}
 	s := img.spans[n.ord]
-	if s.end == 0 {
-		return nil
-	}
-	return img.data[s.start:s.end:s.end]
+	return img, img.data[s.start:s.end:s.end]
 }
 
 // Image returns the serialized image of ix's version chain, building it

@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
 	"strings"
@@ -9,18 +8,9 @@ import (
 	"testing"
 )
 
-// emitWith serializes n through an Emitter that uses img (nil: none).
-func emitWith(t *testing.T, n *Node, img *Image) string {
-	t.Helper()
-	var b strings.Builder
-	e := NewEmitter(&b)
-	e.UseImage(img)
-	e.Node(n)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return b.String()
-}
+// walked serializes n without any image: an unstamped deep copy, which
+// no chain covers, is the plain walk every image must reproduce.
+func walked(n *Node) string { return n.DeepCopy().String() }
 
 // TestImageCoversEveryInteriorNode: the image is the version's
 // serialization, and the range of every node with children is that
@@ -38,7 +28,7 @@ func TestImageCoversEveryInteriorNode(t *testing.T) {
 	if ix.LoadImage() != img {
 		t.Fatal("LoadImage does not see the published image")
 	}
-	if want := root.String(); string(img.data) != want || img.Len() != len(want) {
+	if want := walked(root); string(img.data) != want || img.Len() != len(want) {
 		t.Fatalf("image bytes differ from the serialization (%d vs %d bytes)", img.Len(), len(want))
 	}
 	if cap(img.data) != len(img.data) {
@@ -57,8 +47,8 @@ func TestImageCoversEveryInteriorNode(t *testing.T) {
 			}
 			continue
 		}
-		if string(b) != n.String() {
-			t.Fatalf("range of <%s> = %q, want %q", n.Label, b, n.String())
+		if want := walked(n); string(b) != want {
+			t.Fatalf("range of <%s> = %q, want %q", n.Label, b, want)
 		}
 		covered++
 	}
@@ -73,6 +63,12 @@ func TestImageCoversEveryInteriorNode(t *testing.T) {
 	var none *Image
 	if none.Subtree(root) != nil {
 		t.Fatal("nil image covers a node")
+	}
+	// Every emitter copies from the image it finds: marked image bytes
+	// show up in the output.
+	img.data = []byte(strings.ToUpper(string(img.data)))
+	if root.String() != string(img.data) {
+		t.Fatal("the emitter does not copy from the chain's image")
 	}
 }
 
@@ -101,7 +97,7 @@ func TestImageServesLaterVersions(t *testing.T) {
 		if v.chain == versions[2].chain && v.LoadImage() != img {
 			t.Fatalf("version %d of the chain does not see its image", i)
 		}
-		if got, want := emitWith(t, v.Root, img), v.Root.String(); got != want {
+		if got, want := v.Root.String(), walked(v.Root); got != want {
 			t.Fatalf("version %d: image emission differs from the walk", i)
 		}
 	}
@@ -132,12 +128,7 @@ func TestConcurrentImageBuild(t *testing.T) {
 			defer wg.Done()
 			<-start
 			imgs[i], built[i] = ix.Image()
-			var b bytes.Buffer
-			e := NewEmitter(&b)
-			e.UseImage(imgs[i])
-			e.Node(root)
-			e.Flush()
-			outs[i] = b.String()
+			outs[i] = root.String()
 		}(i)
 	}
 	close(start)
@@ -156,6 +147,70 @@ func TestConcurrentImageBuild(t *testing.T) {
 	}
 	if builds != 1 {
 		t.Fatalf("%d workers report publishing the image, want exactly 1", builds)
+	}
+}
+
+// TestConcurrentViewEmitDuringImageBuild: goroutines emit a view-shaped
+// result — a fresh spine over subtrees of two chains, one imaged and one
+// not — while another goroutine builds the second chain's image. Nodes
+// switch from walked to copied as the image is published, and every
+// output still equals the plain walk.
+func TestConcurrentViewEmitDuringImageBuild(t *testing.T) {
+	chain := func(label string) (*Node, *Index) {
+		db := NewElement("db")
+		for i := 0; i < 4000; i++ {
+			db.Append(NewElement(label, NewText("v&w"), NewElement("y", NewText("<"))))
+		}
+		root, ix, _ := Freeze(NewDocument(db), nil)
+		return root.Root(), ix
+	}
+	a, aix := chain("a")
+	b, bix := chain("b")
+	if _, built := bix.Image(); !built {
+		t.Fatal("the second chain's image was not built")
+	}
+	view := NewElement("view")
+	for i, x := range a.Children {
+		view.Append(x, NewElement("member", x.Children...), b.Children[i])
+	}
+	mixed := NewDocument(view)
+	want := walked(mixed)
+
+	const workers, rounds = 4, 4
+	var (
+		wg  sync.WaitGroup
+		bad [workers]int
+	)
+	start := make(chan struct{})
+	wg.Add(workers + 1)
+	go func() {
+		defer wg.Done()
+		<-start
+		aix.Image()
+	}()
+	for i := 0; i < workers; i++ {
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < rounds; k++ {
+				if mixed.String() != want {
+					bad[i]++
+				}
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, n := range bad {
+		if n > 0 {
+			t.Fatalf("worker %d: %d of %d emissions differ from the walk", i, n, rounds)
+		}
+	}
+	if aix.LoadImage().Subtree(a.Children[0]) == nil || bix.LoadImage().Subtree(b.Children[0]) == nil {
+		t.Fatal("the result's subtrees are not covered by their chains' images")
+	}
+	if mixed.String() != want {
+		t.Fatal("emission through both images differs from the walk")
 	}
 }
 

@@ -26,19 +26,15 @@ var emitBufs = sync.Pool{New: func() any { return new([emitBufSize]byte) }}
 // appends to its buffer and shares its two escape tables. The buffer is
 // pooled: taken on the first write, returned by Flush (or left to the GC).
 // The first write error is sticky: output is dropped, walks stop at it.
+// Node copies every subtree a chain image covers (see Image).
 type Emitter struct {
 	w   io.Writer
 	buf []byte // cap emitBufSize; nil before the first write and after Flush
 	err error
-	img *Image // optional: Node copies the subtrees it covers
 }
 
 // NewEmitter returns an Emitter writing to w.
 func NewEmitter(w io.Writer) Emitter { return Emitter{w: w} }
-
-// UseImage makes Node copy every subtree img covers from its bytes
-// instead of walking it; nil turns copying off.
-func (e *Emitter) UseImage(img *Image) { e.img = img }
 
 // Err returns the first error the underlying writer reported.
 func (e *Emitter) Err() error { return e.err }
@@ -151,11 +147,11 @@ func (e *Emitter) EndTag(name string) {
 }
 
 // Node appends the subtree rooted at n, stopping once a write has failed.
-// With an image, a node with children that the image covers goes out as
-// the image's bytes.
+// A node with children that its chain's image covers goes out as the
+// image's bytes (see Image).
 func (e *Emitter) Node(n *Node) {
-	if e.img != nil && len(n.Children) > 0 {
-		if b := e.img.Subtree(n); b != nil {
+	if len(n.Children) > 0 {
+		if _, b := imaged(n); b != nil {
 			e.Bytes(b)
 			return
 		}
