@@ -495,18 +495,20 @@ func (c *countingDiscard) Write(p []byte) (int, error) { c.n += int64(len(p)); r
 // every xtqd query response takes (sax.Emit into a sax.Writer), the
 // pointer walk (Node.WriteXML) and the same walk over a sealed,
 // arena-backed snapshot (Snapshot.WriteXML); no image covers that
-// document, so all three walk it. Three more legs run over a second
-// snapshot of the document whose chain image is built: image_emit
-// serializes the 40 topdown results of U1-U10 under every update kind,
-// as xtqd answers queries, view_emit the maintained view of the
-// update_commit workload (delete U5, then rename U1 as member), and
+// document, so all three walk it. The other legs run over snapshots of
+// the document whose chain image is built: image_emit serializes the 40
+// topdown results of U1-U10 under every update kind, as xtqd answers
+// queries, view_emit the maintained view of the update_commit workload
+// (delete U5, then rename U1 as member) read once, which no view image
+// covers yet, view_image_emit the same view of a third snapshot read
+// three times, whose view chain image therefore exists, and
 // snapshot_writexml_image is Snapshot.WriteXML. Each copies what the
-// image covers. MB/s is the figure to compare.
+// images cover. MB/s is the figure to compare.
 func BenchmarkSerialize(b *testing.B) {
 	ctx := context.Background()
 	doc := benchDoc(b, 0.05)
 	st := NewStore(nil)
-	for _, name := range []string{"d", "imaged"} {
+	for _, name := range []string{"d", "imaged", "viewed"} {
 		if _, _, err := st.Put(ctx, name, doc); err != nil {
 			b.Fatal(err)
 		}
@@ -550,6 +552,23 @@ func BenchmarkSerialize(b *testing.B) {
 	if !copiesFromImage(view, img) {
 		b.Fatal("the view copies nothing from the image")
 	}
+	if chain := tree.IndexOf(view); chain == nil || chain.LoadImage() != nil {
+		b.Fatal("view_emit's view is not an unimaged view chain")
+	}
+	viewed, err := st.Snapshot("viewed")
+	if err != nil {
+		b.Fatal(err)
+	}
+	viewed.Index().Image()
+	var imagedView *tree.Node
+	for i := 0; i < 3; i++ {
+		if imagedView, _, err = st.ViewAt(ctx, viewed, "v"); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if chain := tree.IndexOf(imagedView); chain == nil || chain.LoadImage().Subtree(imagedView) == nil {
+		b.Fatal("no view image covers view_image_emit's view")
+	}
 	emit := func(trees ...*tree.Node) func(io.Writer) error {
 		return func(w io.Writer) error {
 			for _, n := range trees {
@@ -573,6 +592,7 @@ func BenchmarkSerialize(b *testing.B) {
 		{"snapshot_writexml", snap.WriteXML},
 		{"image_emit", emit(results...)},
 		{"view_emit", emit(view)},
+		{"view_image_emit", emit(imagedView)},
 		{"snapshot_writexml_image", imaged.WriteXML},
 	} {
 		b.Run(c.name, func(b *testing.B) {

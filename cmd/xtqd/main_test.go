@@ -413,6 +413,70 @@ func TestMaintainedViewReadBuildsImage(t *testing.T) {
 	}
 }
 
+// TestMaintainedViewBuildsItsOwnImage: the view's first read
+// materializes it, stamped in place as a chain of its own; the third
+// read (the second served from the cache entry) builds that chain's
+// image — one xtq_ivm_image_builds_total — and no later read, before or
+// after a delta-maintained commit, builds another.
+func TestMaintainedViewBuildsItsOwnImage(t *testing.T) {
+	ts := newTestServer(t)
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := do(t, "PUT", ts.URL+"/docs/d", doc.String(), nil); code != http.StatusCreated {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	stack, err := json.Marshal([]string{
+		`transform copy $a := doc("d") modify do delete $a` + queries.U[5] + ` return $a`,
+		`transform copy $a := doc("d") modify do rename $a` + queries.U[1] + ` as member return $a`,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := do(t, "PUT", ts.URL+"/views/v", string(stack), nil); code != http.StatusCreated {
+		t.Fatalf("register view: %d %s", code, body)
+	}
+	builds := func() float64 { return metricSample(t, ts.URL, `xtq_ivm_image_builds_total{role="primary"}`) }
+	before := builds()
+	var first string
+	for i, want := range []float64{0, 0, 1, 1, 1} {
+		code, hdr, body := do(t, "GET", ts.URL+"/docs/d/views/v", "", nil)
+		if code != http.StatusOK || !strings.Contains(body, "<member ") {
+			t.Fatalf("view read %d: %d %.80q", i+1, code, body)
+		}
+		wantSrc := "cache"
+		if i == 0 {
+			wantSrc = "recompute"
+		}
+		if src := hdr.Get("X-Xtq-View-Source"); src != wantSrc {
+			t.Fatalf("view read %d: source %q, want %q", i+1, src, wantSrc)
+		}
+		if got := builds() - before; got != want {
+			t.Fatalf("after view read %d: %v view image builds, want %v", i+1, got, want)
+		}
+		if i == 0 {
+			first = body
+		} else if body != first {
+			t.Fatalf("view read %d differs from the first (%d vs %d bytes)", i+1, len(body), len(first))
+		}
+	}
+	upd := `transform copy $a := doc("d") modify do insert <note/> into $a/site/people/person[@id = "person0"] return $a`
+	if code, _, body := do(t, "POST", ts.URL+"/docs/d/update", upd, nil); code != http.StatusOK {
+		t.Fatalf("update: %d %s", code, body)
+	}
+	code, hdr, body := do(t, "GET", ts.URL+"/docs/d/views/v", "", nil)
+	if src := hdr.Get("X-Xtq-View-Source"); code != http.StatusOK || (src != "cache" && src != "delta") {
+		t.Fatalf("view read after a commit: %d, source %q", code, src)
+	}
+	if !strings.Contains(body, "<note/>") {
+		t.Fatal("view read after the commit misses the inserted note")
+	}
+	if got := builds() - before; got != 1 {
+		t.Fatalf("after the commit: %v view image builds, want 1", got)
+	}
+}
+
 // TestConcurrentHTTP hammers the server with parallel readers and one
 // writer — the serving-layer version of the store's isolation tests.
 func TestConcurrentHTTP(t *testing.T) {

@@ -3,9 +3,12 @@ package xtq
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"xtq/internal/core"
@@ -55,8 +58,10 @@ var allOps = []core.Op{core.Insert, core.Delete, core.Rename, core.Replace}
 // topdown result over an imaged snapshot serializes to the same bytes
 // through the image, walked, and as the copy-then-update oracle's result
 // — and the image is actually used. The same holds for a maintained view
-// (update_commit's layers: delete U5, then rename U1 as member) after an
-// insert/delete pair of commits, against the sequential materialization.
+// (update_commit's layers: delete U5, then rename U1 as member) across 40
+// note insert/delete commits, against the sequential materialization:
+// before the view's own chain image exists, and after it, when every
+// read copies from it.
 func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 	ctx := context.Background()
 	for _, factor := range []float64{0.001, 0.01} {
@@ -121,7 +126,15 @@ func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	person := `$a/site/people/person[@id = "person10"]`
-	for step, op := range []string{"", "insert <bench_note/> into " + person, "delete " + person + "/bench_note"} {
+	var chain *tree.Index // stamped by the view's first, full materialization
+	for step := 0; step <= 40; step++ {
+		op := ""
+		if step > 0 {
+			op = "insert <bench_note/> into " + person
+			if step%2 == 0 {
+				op = "delete " + person + "/bench_note"
+			}
+		}
 		snap, err := st.Snapshot("d")
 		if op != "" {
 			snap, _, err = st.Apply(ctx, "d", transform(op))
@@ -160,7 +173,40 @@ func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 		if copies := copiesFromImage(res, img); copies != (img != nil) {
 			t.Fatalf("step %d (%s): view copies from the base image: %v, want %v", step, op, copies, img != nil)
 		}
+		if step == 0 {
+			// Two reads: the materialization, and the first read served
+			// from the entry. The next one builds the view's image.
+			if chain = tree.IndexOf(res); chain == nil || chain.LoadImage() != nil {
+				t.Fatal("the first materialization is not a chain without an image")
+			}
+			continue
+		}
+		vimg := chain.LoadImage()
+		if vimg == nil {
+			t.Fatalf("step %d: no view image after %d reads served from the entry", step, 2*step)
+		}
+		// Mark the image's letters: what the read copies from it shows.
+		whole := vimg.Subtree(chain.Root)
+		saved := append([]byte(nil), whole...)
+		copy(whole, upperASCII(saved))
+		got := emitted(t, res)
+		copy(whole, saved)
+		if got == want || upperASCII([]byte(got)) != upperASCII([]byte(want)) {
+			t.Fatalf("step %d (%s): the view read does not copy from the view's image", step, op)
+		}
 	}
+}
+
+// upperASCII returns b with its ASCII letters upper-cased, as a string.
+func upperASCII(b []byte) string {
+	out := make([]byte, len(b))
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		out[i] = c
+	}
+	return string(out)
 }
 
 // TestImageAcrossVersions builds the image at version 1 and commits 60
@@ -272,5 +318,118 @@ func TestImageAcrossVersions(t *testing.T) {
 	}
 	if chains != 1 {
 		t.Fatalf("%d chain changes, want exactly the forced compaction", chains)
+	}
+}
+
+// TestConcurrentViewReadsDuringCommits: four readers serve the maintained
+// view of whatever snapshot is current — cache hits, reads published
+// ahead of the commit hook (run by delta), and the read that builds the
+// view chain's image — while a writer commits note inserts and deletes.
+// Every body equals the sequential materialization at the version read.
+func TestConcurrentViewReadsDuringCommits(t *testing.T) {
+	ctx := context.Background()
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.002, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStore(nil)
+	snap, _, err := st.Put(ctx, "d", doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	transform := func(op string) string {
+		return `transform copy $a := doc("d") modify do ` + op + ` return $a`
+	}
+	v, err := st.RegisterView("v", transform("delete $a"+queries.U[5]), transform("rename $a"+queries.U[1]+" as member"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := v.Prepare(`for $x in /site return $x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := func(n *tree.Node) (string, error) {
+		var b bytes.Buffer
+		sw := sax.NewWriter(&b)
+		if err := sax.Emit(n, sw); err != nil {
+			return "", err
+		}
+		return b.String(), sw.Flush()
+	}
+	var want sync.Map // version → the sequential materialization's bytes
+	record := func(snap *Snapshot) {
+		seq, err := whole.EvalSequential(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := walked(t, seq)
+		want.Store(snap.Version(), b[len("<result>"):len(b)-len("</result>")])
+	}
+	record(snap)
+	first, _, err := st.ViewAt(ctx, snap, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := tree.IndexOf(first)
+
+	type read struct {
+		version uint64
+		sum     [sha256.Size]byte
+	}
+	reads := make([][]read, 4)
+	errs := make(chan error, len(reads))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := range reads {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for !stop.Load() {
+				snap, err := st.Snapshot("d")
+				if err == nil {
+					var res *tree.Node
+					if res, _, err = st.ViewAt(ctx, snap, "v"); err == nil {
+						var b string
+						if b, err = body(res); err == nil {
+							reads[i] = append(reads[i], read{snap.Version(), sha256.Sum256([]byte(b))})
+						}
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i)
+	}
+	person := `$a/site/people/person[@id = "person3"]`
+	for k := 1; k <= 30; k++ {
+		op := "insert <bench_note/> into " + person
+		if k%2 == 0 {
+			op = "delete " + person + "/bench_note"
+		}
+		if snap, _, err = st.Apply(ctx, "d", transform(op)); err != nil {
+			t.Fatal(err)
+		}
+		record(snap)
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, rs := range reads {
+		for _, r := range rs {
+			b, ok := want.Load(r.version)
+			if !ok || sha256.Sum256([]byte(b.(string))) != r.sum {
+				t.Fatalf("view read at version %d differs from the sequential materialization", r.version)
+			}
+			n++
+		}
+	}
+	if chain == nil || chain.LoadImage() == nil {
+		t.Fatalf("%d reads built no image of the view chain", n)
 	}
 }

@@ -73,6 +73,7 @@ func (s *Stack) Layer(i int) *core.Compiled { return s.layers[i] }
 // bridge (see store.CommitEvent.Bridge) is what carries keys from one
 // version to the next.
 type Memo struct {
+	s *Stack // the stack whose run built the memo
 	m map[*tree.Node]*memoEntry
 }
 
@@ -120,11 +121,14 @@ func (s *Stack) Eval(ctx context.Context, doc *tree.Node) (*tree.Node, *Memo, Vi
 // update evaluator's output before snapshot adoption: it has exactly
 // newDoc's shape, but its unchanged subtrees are the previous
 // snapshot's node pointers, which is what connects newDoc's nodes to
-// oldMemo's keys. ok is false when the walk could not align the trees
-// (the caller should fall back to Eval); the other results are then
-// meaningless.
+// oldMemo's keys. newDoc may be its own bridge: a snapshot of the same
+// path-copied chain shares every untouched subtree with the memo's
+// version by pointer, whichever version is newer, and a snapshot that
+// shares nothing is walked in full. ok is false when the walk could not
+// align the trees, or oldMemo is another stack's (the caller should
+// fall back to Eval); the other results are then meaningless.
 func (s *Stack) EvalDelta(ctx context.Context, newDoc, bridge *tree.Node, oldMemo *Memo) (*tree.Node, *Memo, ViewStats, bool, error) {
-	if bridge == nil || oldMemo == nil {
+	if bridge == nil || oldMemo == nil || oldMemo.s != s {
 		return nil, nil, ViewStats{}, false, nil
 	}
 	view, memo, stats, err := s.run(ctx, newDoc, bridge, oldMemo)
@@ -144,7 +148,7 @@ func (s *Stack) run(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo) 
 	r := &stackRun{
 		s:    s,
 		can:  core.NewCanceler(ctx),
-		memo: &Memo{m: make(map[*tree.Node]*memoEntry)},
+		memo: &Memo{s: s, m: make(map[*tree.Node]*memoEntry)},
 		old:  oldMemo,
 	}
 	r.stats.Layers = make([]Stats, len(s.layers))
@@ -258,7 +262,7 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 		case core.Replace:
 			// The constant takes n's place, so the remaining layers
 			// step into it from their pre-n states.
-			img := r.evalConst(u.Elem, i, states)
+			img := r.evalConst(l.Elem(), i, states)
 			if memoize {
 				r.memo.m[n] = &memoEntry{states: states, image: img}
 			}
@@ -304,7 +308,7 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 	for _, i := range pending {
 		// The inserted constant is a child of n in layer i's output,
 		// entered by the later layers from their post-n states.
-		img := r.evalConst(layers[i].Query.Update.Elem, i, entered)
+		img := r.evalConst(layers[i].Elem(), i, entered)
 		if img == nil {
 			continue // a later layer deleted the inserted element
 		}
@@ -340,9 +344,9 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 // evalConst evaluates the constant element of layer owner through the
 // layers after it: the vector restricts states to layers > owner
 // (earlier layers never see their own or earlier constants). Constant
-// subtrees that no later layer can touch are aliased, not copied —
-// view results are immutable and only ever serialized, so sharing the
-// compiled query's constant is safe.
+// subtrees that no later layer can touch are aliased, not copied: c is
+// the layer's frozen constant (core.Compiled.Elem), so every node of a
+// view that is still unstamped belongs to this one evaluation.
 func (r *stackRun) evalConst(c *tree.Node, owner int, states []automaton.StateSet) *tree.Node {
 	restricted := make([]automaton.StateSet, len(states))
 	for j := range states {

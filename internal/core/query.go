@@ -84,6 +84,12 @@ func (q *Query) Compile() (*Compiled, error) {
 	return c, nil
 }
 
+// Elem returns the update's constant element frozen once per Compiled
+// (nil for delete and rename): the node topdown and compose link into
+// their results, so Query.Update.Elem itself is never shared into one.
+// Treat it as read-only.
+func (c *Compiled) Elem() *tree.Node { return c.elem }
+
 // ParseQuery parses a transform query in surface syntax, e.g.
 //
 //	transform copy $a := doc("foo") modify do delete $a//price return $a

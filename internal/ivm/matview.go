@@ -21,7 +21,10 @@ type Stats struct {
 	View    string `json:"view"`
 	Version uint64 `json:"version"`
 	// Source is "cache" when the read was served from a current
-	// materialization, "recompute" when it was evaluated on demand.
+	// materialization, "delta" when it was evaluated off the maintained
+	// version against the entry's memo (splicing every subtree the
+	// snapshot shares with the memo's version), and "recompute" when it
+	// was materialized in full: a first read, or a qualified stack.
 	Source   string `json:"source"`
 	CacheHit bool   `json:"cacheHit"`
 	// Commit-path counters of the cache entry: how many commits were
@@ -67,6 +70,13 @@ type matEntry struct {
 	memoVersion uint64
 	tree        *tree.Node
 	memo        *compose.Memo
+	// chain is the version chain the last full materialization was
+	// stamped into in place (tree.StampChain), whose nodes the
+	// delta-maintained versions since then keep splicing; nil when that
+	// materialization created no node. Delta versions are left
+	// unstamped, so the chain never widens. Reads served from the entry
+	// build the chain's image on its second read (noteChainRead).
+	chain *tree.Index
 
 	deltaCommits, fullCommits int
 	unaffected, unknown       int
@@ -279,7 +289,9 @@ func (m *Manager) OnCommit(ev store.CommitEvent) []string {
 			continue // lazy view never read: nothing to maintain
 		}
 		e.mu.Lock()
-		if e.version == ev.Version {
+		if e.version >= ev.Version {
+			// Already there: a read of the published snapshot ran ahead of
+			// this hook and installed it.
 			e.mu.Unlock()
 			continue
 		}
@@ -326,16 +338,24 @@ func (m *Manager) fullLocked(e *matEntry, def *viewDef, snap *store.Snapshot) er
 	if err != nil {
 		return err
 	}
+	e.installFull(snap.Version(), out, memo, stats)
+	return nil
+}
+
+// installFull makes out — a materialization that shares no unstamped
+// node with any other tree — e's tree at version, stamped in place as a
+// chain of its own (e.mu held).
+func (e *matEntry) installFull(version uint64, out *tree.Node, memo *compose.Memo, stats compose.ViewStats) {
 	e.tree, e.memo = out, memo
-	e.version = snap.Version()
+	e.chain = tree.StampChain(out)
+	e.version = version
 	if memo != nil {
-		e.memoVersion = snap.Version()
+		e.memoVersion = version
 	} else {
 		e.memoVersion = 0
 	}
 	e.fullCommits++
 	e.lastStats = stats
-	return nil
 }
 
 // materialize evaluates the full stack over root: the fused evaluator
@@ -355,11 +375,16 @@ func (m *Manager) materialize(ctx context.Context, def *viewDef, root *tree.Node
 	return cur, nil, compose.ViewStats{}, nil
 }
 
-// Get serves the materialization of view over snap. Reads at the
-// maintained version are cache hits; reads of older snapshots
-// (time travel) evaluate on demand without caching; reads ahead of the
-// cache (first read of a lazy view, or a follower catching up)
-// materialize and install, so subsequent reads hit.
+// Get serves the materialization of view over snap. A read at the
+// maintained version is a cache hit. Any other read of a qualifier-free
+// stack runs by delta against the entry's memo, with the snapshot as
+// its own bridge: memo keys are immutable snapshot nodes, so every
+// subtree snap shares with the memo's version is spliced, whether snap
+// is older (time travel, served without caching) or newer (published
+// before the commit hook ran, installed so later reads hit). Only the
+// first read and qualified stacks, which keep no memo, materialize in
+// full; a full materialization that is installed is stamped in place as
+// a chain of its own.
 func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*tree.Node, Stats, error) {
 	m.mu.Lock()
 	def := m.views[view]
@@ -368,64 +393,81 @@ func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*
 		return nil, Stats{}, xerr.New(xerr.NotFound, "", "ivm: view %q is not registered", view)
 	}
 	st := Stats{Doc: snap.Name(), View: view, Version: snap.Version()}
-	e := m.entry(snap.Name(), view, false)
-	if e != nil {
+	var memo *compose.Memo
+	if e := m.entry(snap.Name(), view, false); e != nil {
 		e.mu.Lock()
 		if e.version == snap.Version() {
-			out := e.tree
-			fillStats(&st, e, true)
+			out, chain := e.tree, e.chain
+			fillStats(&st, e, "cache")
 			e.mu.Unlock()
+			noteChainRead(chain)
 			noteRead(ctx, st)
 			return out, st, nil
 		}
-		if snap.Version() < e.version {
-			// Time travel below the maintained version: evaluate without
-			// disturbing the cache.
-			e.mu.Unlock()
-			out, _, vs, err := m.materialize(ctx, def, snap.Root())
-			if err != nil {
-				return nil, st, err
-			}
-			st.Source, st.CacheHit = "recompute", false
-			statsFromEval(&st, vs)
-			noteRead(ctx, st)
-			return out, st, nil
-		}
+		memo = e.memo
 		e.mu.Unlock()
 	}
-	// Ahead of (or absent from) the cache: materialize and install,
-	// unless a maintenance racer got there first with a newer version.
-	out, memo, vs, err := m.materialize(ctx, def, snap.Root())
+	var (
+		out   *tree.Node
+		next  *compose.Memo
+		vs    compose.ViewStats
+		delta bool
+		err   error
+	)
+	if memo != nil && def.stack != nil {
+		out, next, vs, delta, err = def.stack.EvalDelta(ctx, snap.Root(), snap.Root(), memo)
+	}
+	if err == nil && !delta {
+		out, next, vs, err = m.materialize(ctx, def, snap.Root())
+	}
 	if err != nil {
 		return nil, st, err
 	}
-	e = m.entry(snap.Name(), view, true)
-	e.mu.Lock()
-	if snap.Version() >= e.version {
-		e.tree, e.memo = out, memo
-		e.version = snap.Version()
-		if memo != nil {
-			e.memoVersion = snap.Version()
-		} else {
-			e.memoVersion = 0
-		}
-		e.fullCommits++
-		e.lastStats = vs
+	source := "recompute"
+	if delta {
+		source = "delta"
 	}
-	fillStats(&st, e, false)
+	// Install unless the entry holds this version or a newer one: a read
+	// below the maintained version (or one a maintenance racer overtook)
+	// serves its result without caching it.
+	e := m.entry(snap.Name(), view, true)
+	e.mu.Lock()
+	if snap.Version() <= e.version {
+		chain := e.chain
+		e.mu.Unlock()
+		if delta {
+			noteChainRead(chain)
+		}
+		st.Source = source
+		statsFromEval(&st, vs)
+		noteRead(ctx, st)
+		return out, st, nil
+	}
+	if delta && vs.ReusedSubtrees > 0 {
+		// The result splices the entry's nodes: it is a delta version of
+		// the entry's chain, left unstamped.
+		e.tree, e.memo = out, next
+		e.version, e.memoVersion = snap.Version(), snap.Version()
+		e.deltaCommits++
+		e.lastStats = vs
+	} else {
+		// Built from scratch, which a delta run that spliced nothing is
+		// too: every unstamped node is this evaluation's own.
+		e.installFull(snap.Version(), out, next, vs)
+	}
+	fillStats(&st, e, source)
+	chain := e.chain
 	e.mu.Unlock()
-	st.Version = snap.Version()
+	if delta {
+		noteChainRead(chain)
+	}
 	noteRead(ctx, st)
 	return out, st, nil
 }
 
 // fillStats copies e's counters into st (e.mu held).
-func fillStats(st *Stats, e *matEntry, hit bool) {
-	if hit {
-		st.Source, st.CacheHit = "cache", true
-	} else {
-		st.Source, st.CacheHit = "recompute", false
-	}
+func fillStats(st *Stats, e *matEntry, source string) {
+	st.Source, st.CacheHit = source, source == "cache"
 	st.DeltaCommits = e.deltaCommits
 	st.FullCommits = e.fullCommits
 	st.UnaffectedCommits = e.unaffected

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"xtq/internal/compose"
 	"xtq/internal/core"
 	"xtq/internal/store"
 	"xtq/internal/tree"
@@ -228,7 +229,7 @@ func TestManagerTimeTravelReadDoesNotDisturbCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1.Source != "recompute" || s1.CacheHit {
+	if s1.Source != "delta" || s1.CacheHit {
 		t.Fatalf("time-travel read: %+v", s1)
 	}
 	if !tree.Equal(out1, oracle(t, layers, snap1.Root())) {
@@ -353,5 +354,182 @@ func TestQuickManagerMatchesOracle(t *testing.T) {
 	}
 	if totals.unaffected == 0 {
 		t.Error("property run never proved a commit unaffected")
+	}
+}
+
+// held wires a manager into a fresh store whose commit hook only
+// records events: the test delivers them to OnCommit itself, so it can
+// read a snapshot before, or after, the hook has seen its commit.
+func held() (*store.Store, *[]store.CommitEvent) {
+	st := store.New()
+	var evs []store.CommitEvent
+	st.SetCommitHook(func(ev store.CommitEvent) { evs = append(evs, ev) })
+	return st, &evs
+}
+
+// offVersionRead checks one off-version read: it equals a full
+// Stack.Eval of snap, runs by delta, and recomposes nothing.
+func offVersionRead(t *testing.T, mgr *Manager, layers []*core.Compiled, snap *store.Snapshot) (*tree.Node, Stats) {
+	t.Helper()
+	recomputes := mReads.With("recompute").Value()
+	out, s, err := mgr.Get(context.Background(), snap, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack, err := compose.NewStack(layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _, err := stack.Eval(context.Background(), snap.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tree.Equal(out, want) {
+		t.Fatalf("read at version %d differs from a full evaluation", snap.Version())
+	}
+	if s.Source != "delta" || s.CacheHit {
+		t.Fatalf("read at version %d: %+v, want source delta", snap.Version(), s)
+	}
+	if got := mReads.With("recompute").Value() - recomputes; got != 0 {
+		t.Fatalf("read at version %d recomposed %d times", snap.Version(), got)
+	}
+	return out, s
+}
+
+func offVersionSetup(t *testing.T) (*Manager, []*core.Compiled, *store.Store, *[]store.CommitEvent, *store.Snapshot) {
+	t.Helper()
+	mgr := NewManager(core.MethodTopDown, nil)
+	layers := []*core.Compiled{
+		compileUpdate(t, q(`delete $a/site/regions/item/name`)),
+		compileUpdate(t, q(`rename $a/site/people/person as member`)),
+	}
+	mgr.SetView("v", layers, false)
+	st, evs := held()
+	snap := mustPut(t, st, "T", siteDoc())
+	mgr.OnCommit((*evs)[0])
+	if _, s, err := mgr.Get(context.Background(), snap, "v"); err != nil || s.Source != "recompute" {
+		t.Fatalf("first read: %+v, %v", s, err)
+	}
+	return mgr, layers, st, evs, snap
+}
+
+// TestOffVersionReadBelowRunsByDelta: a read of version v after the
+// hook maintained v+1 splices the memo and leaves the cache at v+1.
+func TestOffVersionReadBelowRunsByDelta(t *testing.T) {
+	mgr, layers, st, evs, snap1 := offVersionSetup(t)
+	snap2 := mustApply(t, st, "T", q(`insert <age>31</age> into $a/site/people/person`))
+	mgr.OnCommit((*evs)[1])
+	head, s, err := mgr.Get(context.Background(), snap2, "v")
+	if err != nil || s.Source != "cache" || s.DeltaCommits != 1 {
+		t.Fatalf("head read: %+v, %v", s, err)
+	}
+	if _, s := offVersionRead(t, mgr, layers, snap1); s.ReusedSubtrees == 0 {
+		t.Fatalf("below read spliced nothing: %+v", s)
+	}
+	again, s, err := mgr.Get(context.Background(), snap2, "v")
+	if err != nil || s.Source != "cache" || again != head {
+		t.Fatalf("the below read disturbed the cached head: %+v, %v", s, err)
+	}
+}
+
+// TestOffVersionReadAheadRunsByDelta: a read of version v+1 published
+// before the hook ran installs it by delta, and the late hook then
+// does no maintenance.
+func TestOffVersionReadAheadRunsByDelta(t *testing.T) {
+	mgr, layers, st, evs, _ := offVersionSetup(t)
+	snap2 := mustApply(t, st, "T", q(`insert <age>31</age> into $a/site/people/person`))
+	out, s := offVersionRead(t, mgr, layers, snap2)
+	if s.DeltaCommits != 1 || s.FullCommits != 1 {
+		t.Fatalf("ahead read did not install by delta: %+v", s)
+	}
+	mgr.OnCommit((*evs)[1])
+	cached, s2, err := mgr.Get(context.Background(), snap2, "v")
+	if err != nil || s2.Source != "cache" || cached != out {
+		t.Fatalf("read after the late hook: %+v, %v", s2, err)
+	}
+	if s2.DeltaCommits != s.DeltaCommits || s2.FullCommits != s.FullCommits {
+		t.Fatalf("the late hook maintained again: %+v after %+v", s2, s)
+	}
+}
+
+// TestOffVersionReadSharingNothing: a snapshot that shares no node with
+// the memo's version (a Put) is walked in full by the same delta run,
+// and installed as a chain of its own.
+func TestOffVersionReadSharingNothing(t *testing.T) {
+	mgr, layers, st, _, snap1 := offVersionSetup(t)
+	before := mgr.entry("T", "v", false).chain
+	snap2 := mustPut(t, st, "T", siteDoc())
+	if _, s := offVersionRead(t, mgr, layers, snap2); s.ReusedSubtrees != 0 {
+		t.Fatalf("a fresh document shared subtrees with the memo: %+v", s)
+	}
+	if after := mgr.entry("T", "v", false).chain; after == nil || after == before {
+		t.Fatal("a from-scratch result was not stamped into a chain of its own")
+	}
+	offVersionRead(t, mgr, layers, snap1)
+}
+
+// TestViewChainNeverWidens: 2000 delta-maintained commits leave the view
+// chain stamped by the full materialization exactly as it was — delta
+// versions splice its nodes and are never stamped themselves — and the
+// chain's image keeps serving them.
+func TestViewChainNeverWidens(t *testing.T) {
+	mgr := NewManager(core.MethodTopDown, nil)
+	layers := []*core.Compiled{compileUpdate(t, q(`rename $a/site/people/person as member`))}
+	mgr.SetView("v", layers, true)
+	st, _ := hookStore(mgr)
+	doc := siteDoc()
+	people := doc.Children[0].Children[1]
+	for i := 0; i < 30; i++ {
+		people.Append(tree.NewElement("person", tree.NewElement("age", tree.NewText("40"))))
+	}
+	snap := mustPut(t, st, "T", doc)
+	e := mgr.entry("T", "v", false)
+	chain := e.chain
+	if chain == nil {
+		t.Fatal("the full materialization was not stamped")
+	}
+	width := chain.NumNodes
+	for i := 0; i < 3; i++ { // the third read served from the entry builds its image
+		if _, _, err := mgr.Get(context.Background(), snap, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	img := chain.LoadImage()
+	if img == nil {
+		t.Fatal("no view image after three reads")
+	}
+	for i := 0; i < 2000; i++ {
+		upd := `insert <note/> into $a/site/people/person[age = "30"]`
+		if i%2 == 1 {
+			upd = `delete $a/site/people/person/note`
+		}
+		snap = mustApply(t, st, "T", q(upd))
+	}
+	out, s, err := mgr.Get(context.Background(), snap, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Source != "cache" || s.DeltaCommits != 2000 || s.FullCommits != 1 {
+		t.Fatalf("after 2000 commits: %+v", s)
+	}
+	if e.chain != chain || chain.NumNodes != width || chain.LoadImage() != img {
+		t.Fatalf("view chain changed: width %d → %d", width, chain.NumNodes)
+	}
+	if !tree.Equal(out, oracle(t, layers, snap.Root())) {
+		t.Fatal("maintained view mismatch")
+	}
+	if got, want := out.String(), out.DeepCopy().String(); got != want {
+		t.Fatal("emission through the view image differs from the walk")
+	}
+	covered := 0
+	tree.Walk(out, func(n *tree.Node, _ int) bool {
+		if img.Subtree(n) != nil {
+			covered++
+			return false
+		}
+		return true
+	})
+	if covered != 30 {
+		t.Fatalf("the view image covers %d subtrees of the last version, want the 30 untouched members", covered)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"xtq/internal/obs"
+	"xtq/internal/tree"
 )
 
 // Maintenance instruments on the process-wide obs registry. The commit
@@ -19,12 +20,29 @@ var (
 	mUnknownVerdicts = obs.Default.Counter("xtq_ivm_unknown_verdicts_total",
 		"Impact analyses that could not prove the view affected or unaffected.")
 	mReads = obs.Default.CounterVec("xtq_ivm_reads_total",
-		"Materialized-view reads by source (cache, recompute).", "source")
+		"Materialized-view reads by source (cache, delta, recompute).", "source")
+	mImageBuilds = obs.Default.Counter("xtq_ivm_image_builds_total",
+		"Serialized view-chain images built on the chain's second read from its cache entry (at most one per full materialization).")
+	mImageBytes = obs.Default.Counter("xtq_ivm_image_bytes_total",
+		"Bytes of the serialized view-chain images built.")
 	mHubResyncs = obs.Default.Counter("xtq_ivm_hub_resyncs_total",
 		"Change-feed subscribers whose buffer overflowed into a resync event.")
 	mSubscribers = obs.Default.Gauge("xtq_ivm_subscribers",
 		"Open change-feed subscriptions.")
 )
+
+// noteChainRead notes one read served from a cache entry whose nodes
+// chain stamped (nil: none), building the chain's image on its second
+// such read (tree.Index.ReadImage).
+func noteChainRead(chain *tree.Index) {
+	if chain == nil {
+		return
+	}
+	if img, built := chain.ReadImage(); built {
+		mImageBuilds.Inc()
+		mImageBytes.Add(uint64(img.Len()))
+	}
+}
 
 // noteRead records one served view read: the source-labeled counter,
 // and — when the request carries a trace — the trace's view section,

@@ -71,7 +71,9 @@ type ViewTrace struct {
 	View    string `json:"view"`
 	Version uint64 `json:"version"`
 	// Source is "cache" when the read was served from a current
-	// materialization, "recompute" when it was evaluated on demand.
+	// materialization, "delta" when it was evaluated off the maintained
+	// version against the cached one, "recompute" when it was
+	// materialized in full.
 	Source   string `json:"source"`
 	CacheHit bool   `json:"cacheHit"`
 	// Commit-path counters of the cache entry.

@@ -114,20 +114,15 @@ func (s *Snapshot) Open() (io.ReadCloser, error) {
 // covers when one exists. It never builds an image.
 func (s *Snapshot) WriteXML(w io.Writer) error { return s.root.WriteXML(w) }
 
-// Image returns the serialized image of the snapshot's version chain
-// (see tree.Image), building it from this snapshot on the chain's second
-// read: the first read of a chain gets nil and walks. A read is a
-// transform query or a read of a maintained view over the chain.
-// Building costs about one walk more than answering a read without an
-// image, so only a chain read again earns its image, and a document read
-// once never holds one. Every emitter copies from the image once it
-// exists, whoever built it. Only the calls that build an image are
-// counted on the registry.
+// Image notes a read of the snapshot's version chain and returns the
+// chain's serialized image (see tree.Image), building it from this
+// snapshot on the chain's second read (tree.Index.ReadImage): a document
+// read once never holds one. A read is a transform query or a read of a
+// maintained view over the chain. Every emitter copies from the image
+// once it exists, whoever built it. Only the calls that build an image
+// are counted on the registry.
 func (s *Snapshot) Image() *tree.Image {
-	if img := s.ix.LoadImage(); img != nil || !s.ix.Reread() {
-		return img
-	}
-	img, built := s.ix.Image()
+	img, built := s.ix.ReadImage()
 	if built {
 		mImageBuilds.Inc()
 		mImageBytes.Add(uint64(img.Len()))

@@ -19,7 +19,10 @@ import (
 // unstamped one, one of a chain without an image, one created after the
 // image (its tail ordinal is past the table), or one not reachable in
 // the imaged version (its range was never set). Compaction starts a new
-// chain, which has no image until one is built from it.
+// chain, which has no image until one is built from it. A materialized
+// view stamped in place (StampChain) is a chain too: its image covers
+// the nodes the view created, and a later view version that splices
+// them copies their bytes.
 type Image struct {
 	data  []byte
 	spans []span // by ordinal; end == 0 means not covered
@@ -58,8 +61,10 @@ func imaged(n *Node) (img *Image, b []byte) {
 // from ix.Root when the chain has none yet; built reports whether this
 // call published the image it returns. Concurrent first calls may each
 // build one, but exactly one is published and every caller gets it. ix
-// must be a version's own index (Adopt, Freeze, PathCopy); for any other
-// index the result is nil. A serialization larger than 4 GiB, which uint32
+// must be a version's own index (Adopt, Freeze, PathCopy, StampChain);
+// for any other index the result is nil. A view chain's image
+// (StampChain) holds the whole view's bytes but ranges only for the
+// nodes the view created. A serialization larger than 4 GiB, which uint32
 // ranges cannot address, publishes an image covering nothing.
 func (ix *Index) Image() (img *Image, built bool) {
 	if ix.chain == nil || ix.Root == nil {
@@ -75,10 +80,18 @@ func (ix *Index) Image() (img *Image, built bool) {
 	return ix.chain.img.Load(), false
 }
 
-// Reread notes a read of ix's version chain and reports whether one had
-// been noted before: true from the second read of the chain on, and
-// always false for an index outside any chain.
-func (ix *Index) Reread() bool { return ix.chain != nil && ix.chain.read.Swap(true) }
+// ReadImage notes a read of ix's version chain and returns the chain's
+// image, building it on the chain's second noted read: the first read
+// of a chain gets nil and walks. Building costs about one walk more than
+// answering a read without an image, so only a chain read again earns
+// its image. built reports whether this call published the image; the
+// result is nil for an index outside any chain.
+func (ix *Index) ReadImage() (img *Image, built bool) {
+	if img := ix.LoadImage(); img != nil || ix.chain == nil || !ix.chain.read.Swap(true) {
+		return img, false
+	}
+	return ix.Image()
+}
 
 // LoadImage returns the image of ix's chain if one has been built, and
 // nil otherwise. It never builds one.

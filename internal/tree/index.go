@@ -48,8 +48,9 @@ type Index struct {
 	// Live is the number of nodes reachable from Root. Set on version
 	// chain members (Adopt, Freeze, PathCopy), which own every node they
 	// reach; it lags NumNodes by the dead (replaced) ordinals still
-	// occupying a path-copied chain's numbering. Zero for plain indexes,
-	// which may not cover every node of their tree.
+	// occupying a path-copied chain's numbering. Zero for plain indexes
+	// and view chains (StampChain), which may not cover every node of
+	// their tree.
 	Live int
 	// chain identifies the persistent version chain this snapshot
 	// belongs to: every version produced from it by PathCopy shares the
@@ -57,7 +58,9 @@ type Index struct {
 	// the chain's freeze. Membership (OrdOf) accepts nodes stamped by
 	// any ancestor version — the aliased, unchanged subtrees a path copy
 	// shares by reference — because their ordinals and symbols are
-	// stable across the chain. nil for plain evaluation indexes.
+	// stable across the chain. nil for plain evaluation indexes; a
+	// materialized view stamped in place (StampChain) heads a chain of
+	// one version.
 	chain *chainID
 	epoch int32
 }
@@ -65,7 +68,7 @@ type Index struct {
 // chainID is an identity token shared by every version of one
 // path-copied document chain. Besides its pointer it carries the chain's
 // serialized image, built at most once (see Image), and whether a read
-// of the chain has been noted (see Reread).
+// of the chain has been noted (see ReadImage).
 type chainID struct {
 	img  atomic.Pointer[Image]
 	read atomic.Bool
@@ -102,8 +105,40 @@ func EnsureIndex(doc *Node) *Index {
 		// indexing (under this lock) has now finished.
 		return ix
 	}
-	syms := NewSymbols()
-	ix := &Index{Root: doc, Syms: syms}
+	ix := &Index{Root: doc, Syms: NewSymbols()}
+	stampLocked(ix)
+	return ix
+}
+
+// StampChain makes the unstamped part of the tree at doc the head of a
+// new version chain, in place: every node reachable from doc through
+// unstamped nodes gets an ordinal of the chain, and every stamped node
+// keeps its stamp. It is how a materialized view becomes a chain of its
+// own, with an image (see Image) covering the nodes the view created,
+// while the subtrees it shares with its base stay the base chain's. It
+// returns nil, stamping nothing, when doc is already stamped.
+//
+// The unstamped nodes must belong to the caller alone — no other tree
+// links them, and no other goroutine holds them — until it publishes
+// the result. Live stays zero: the chain does not own the stamped
+// subtrees its root reaches.
+func StampChain(doc *Node) *Index {
+	indexMu.Lock()
+	defer indexMu.Unlock()
+	if doc.idx.Load() != nil {
+		return nil
+	}
+	ix := &Index{Root: doc, Syms: NewSymbols(), chain: &chainID{}}
+	stampLocked(ix)
+	return ix
+}
+
+// stampLocked numbers and stamps, in preorder, every node reachable
+// from ix.Root through unstamped nodes, interning their labels and
+// attribute names into ix.Syms, and publishes ix by stamping the root
+// last (indexMu held, ix.Root unstamped).
+func stampLocked(ix *Index) {
+	doc, syms := ix.Root, ix.Syms
 	// Iterative preorder walk: documents admitted by a generous
 	// WithMaxDepth must not overflow the goroutine stack here.
 	ord := int32(0)
@@ -139,7 +174,6 @@ func EnsureIndex(doc *Node) *Index {
 	}
 	ix.NumNodes = int(ord)
 	doc.idx.Store(ix)
-	return ix
 }
 
 // Adopt makes doc the head of a new version chain, the form the

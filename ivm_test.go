@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"xtq"
+	"xtq/internal/tree"
 	"xtq/internal/xmark"
 )
 
@@ -27,10 +28,14 @@ var facadeUpdates = []string{
 }
 
 // TestQuickFacadeViewsMatchOracle drives random XMark update sequences
-// against a store with a lazy two-layer view and an eager three-layer
-// materialized view, and checks after every commit — and from eight
-// concurrent racing readers — that what the maintained cache serves is
+// against a store with a lazy two-layer view, an eager three-layer
+// materialized view and a lazy view whose layers insert and replace
+// constants, and checks after every commit — and from eight concurrent
+// racing readers — that what the maintained cache serves is
 // byte-identical to a from-scratch recomposition of the same snapshot.
+// Afterwards no view links a node of a layer's Query.Update.Elem: a
+// view links each layer's frozen constant (core.Compiled.Elem), so the
+// unstamped nodes a materialization is stamped with in place are its own.
 func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 	ctx := context.Background()
 	var totalDelta, totalUnaffected int
@@ -60,7 +65,15 @@ func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracles := map[string]*xtq.View{"public": lazy, "feed": eager}
+		constants, err := st.RegisterView("flagged",
+			`transform copy $a := doc("x") modify do insert <flag><seen/></flag> into $a//person return $a`,
+			`transform copy $a := doc("x") modify do replace $a//flag/seen with <checked>y</checked> return $a`,
+			`transform copy $a := doc("x") modify do replace $a//happiness with <mood>fine</mood> return $a`,
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles := map[string]*xtq.View{"public": lazy, "feed": eager, "flagged": constants}
 
 		// check compares the maintained read against the oracle on snap.
 		check := func(snap *xtq.Snapshot) error {
@@ -131,6 +144,24 @@ func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 		snap, err := st.Snapshot("auc")
 		if err != nil {
 			t.Fatal(err)
+		}
+		for name, v := range oracles {
+			constant := map[*xtq.Node]bool{}
+			for i := 0; i < v.Layers(); i++ {
+				if elem := v.Layer(i).Query().Update.Elem; elem != nil {
+					tree.Walk(elem, func(n *xtq.Node, _ int) bool { constant[n] = true; return true })
+				}
+			}
+			got, _, err := st.ViewAt(ctx, snap, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree.Walk(got, func(n *xtq.Node, _ int) bool {
+				if constant[n] {
+					t.Fatalf("seed %d: view %s links a node of its Query.Update.Elem", seed, name)
+				}
+				return true
+			})
 		}
 		if _, stats, err := st.ViewAt(ctx, snap, "feed"); err == nil {
 			totalDelta += stats.DeltaCommits

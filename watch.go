@@ -84,10 +84,14 @@ func (s *Store) WatchFrom(name string, from uint64) *Subscription {
 // ViewAt serves the materialization of a registered view over snap,
 // maintained incrementally across commits: a read of the maintained
 // version (the current snapshot, once materialized) returns the cached
-// tree (stats.Source == "cache"); anything else evaluates on demand,
-// including time-travel reads at any version SnapshotAt can serve,
-// without disturbing the cache. The returned tree is immutable;
-// serialize it, do not index it.
+// tree (stats.Source == "cache"). Any other read of a qualifier-free
+// view runs by delta against the cached materialization, splicing every
+// subtree snap shares with it (stats.Source == "delta"): a time-travel
+// read at any version SnapshotAt can serve leaves the cache as it was,
+// and a read of a version the commit hook has not maintained yet
+// installs it. A first read, or a view with qualifiers, evaluates in
+// full ("recompute"). The returned tree is immutable; serialize it, do
+// not index it.
 func (s *Store) ViewAt(ctx context.Context, snap *Snapshot, view string) (*Node, MatViewStats, error) {
 	out, stats, err := s.mgr.Get(ctx, snap, view)
 	if err != nil {
