@@ -31,14 +31,14 @@ var benchState = struct {
 	xml  map[float64][]byte
 }{docs: map[float64]*tree.Node{}, xml: map[float64][]byte{}}
 
-func benchDoc(b *testing.B, factor float64) *tree.Node {
-	b.Helper()
+func benchDoc(tb testing.TB, factor float64) *tree.Node {
+	tb.Helper()
 	if d, ok := benchState.docs[factor]; ok {
 		return d
 	}
 	d, err := xmark.Generate(xmark.Config{Factor: factor, Seed: 42})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	benchState.docs[factor] = d
 	return d
@@ -230,6 +230,26 @@ func BenchmarkViewStacks(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkComposedUserQueries is the in-process number behind the wire
+// benchmark's view_user_query workload: each of its twelve user queries
+// composed with the two-layer security view on XMark 0.05, one
+// sub-benchmark per query. Allocations per query follow the result size,
+// not the number of nodes visited.
+func BenchmarkComposedUserQueries(b *testing.B) {
+	doc := benchDoc(b, 0.05)
+	ctx := context.Background()
+	for i, pv := range prepareSecurityView(b) {
+		b.Run(securityViewQueries[i].name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if _, _, err := pv.Eval(ctx, doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

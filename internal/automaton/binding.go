@@ -96,13 +96,6 @@ func (b *Binding) StepInto(s StateSet, sym tree.SymID, label string, keep func(s
 	})
 }
 
-// Step is StepInto allocating a fresh set.
-func (b *Binding) Step(s StateSet, sym tree.SymID, label string, keep func(stateID int) bool) StateSet {
-	out := b.M.NewSet()
-	b.StepInto(s, sym, label, keep, out)
-	return out
-}
-
 // EnteredQualsInto appends to buf the qualifier ids (into M.LQ) of the
 // states entered by consuming an element with sym/label from s, without
 // checking them — the top-level qualifiers the bottom-up passes must

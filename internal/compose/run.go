@@ -21,7 +21,12 @@ type stateSet = automaton.StateSet
 // the result. Renames feed the relabeled node to the next layer's
 // automaton, constant elements inserted by layer i are navigated (and
 // further transformed) by layers above i, and as soon as every layer's
-// state set dies the evaluator drops into plain navigation.
+// state set dies the evaluator drops into plain navigation: child steps
+// and '//l' walks below such a node run over the real tree with no
+// virtual node and no per-layer state, and a qualifier test there is
+// xpath's own. Qualifier
+// tests are first-witness searches everywhere: they stop the enumeration
+// they are in at the first node that passes.
 //
 // Representation: the run binds every layer's NFA to the source
 // document's symbol table (automaton.Binding), so stepping compares dense
@@ -32,6 +37,14 @@ type stateSet = automaton.StateSet
 // elements draw fresh ordinals from a per-run arena. Ordinals make
 // identity checks (descendant-axis deduplication, constant-element
 // anchors) dense bitset operations instead of map lookups.
+//
+// Per-layer state lives in two per-run LIFO arenas, one of state vectors
+// and one of state-set words. Children are enumerated through callbacks,
+// so the vnodes alive at any moment are exactly those on the current
+// enumeration path: a child's vector and step results are pushed before
+// its callback and truncated after it, and a walk allocates only when it
+// nests deeper than any earlier point of the run. A vnode kept past its
+// callback — a frontier entry — is copied out once (detach).
 
 // vnode is a context node of the stacked virtual document.
 //
@@ -60,7 +73,9 @@ type vnode struct {
 	anchor int32
 	// states[i] is the state set of layer i's NFA that reached this node
 	// in View_i; nil means layer i cannot touch the subtree. A nil slice
-	// means every layer is dead — the plain-navigation fast path.
+	// means every layer is dead — the plain-navigation fast path. The
+	// vector and its sets belong to the run's arenas unless the vnode
+	// was detached.
 	states []stateSet
 }
 
@@ -86,6 +101,32 @@ func (x vnode) deadAll() bool {
 	return true
 }
 
+// detach moves x's state out of the arenas, for a vnode kept past the
+// callback that produced it.
+func (x *vnode) detach() {
+	if x.states != nil {
+		x.states = copyStates(x.states)
+	}
+}
+
+// copyStates copies a state vector and its sets; a vector in which every
+// layer is dead needs no copy and becomes nil. It stays out of line so
+// that detach, called on every frontier entry, inlines.
+//
+//go:noinline
+func copyStates(v []stateSet) []stateSet {
+	if (vnode{states: v}).deadAll() {
+		return nil
+	}
+	out := make([]stateSet, len(v))
+	for i, s := range v {
+		if s != nil {
+			out[i] = s.Clone()
+		}
+	}
+	return out
+}
+
 // bitset is a growable bit set over virtual ordinals.
 type bitset []uint64
 
@@ -102,11 +143,11 @@ func (b *bitset) add(ord int32) bool {
 }
 
 // run is the per-evaluation state of a Plan: statistics, the cancellation
-// poll, the per-layer symbol bindings and the virtual-ordinal arena that
+// poll, the per-layer symbol bindings, the virtual-ordinal arena that
 // gives constant-element occurrences stable dense identities within the
-// evaluation. A fresh run per Eval call is what makes Plan (and the
-// facade's PreparedView) goroutine-safe — nothing of a run ever hangs off
-// the Plan.
+// evaluation, and the state arenas of the enumeration path. A fresh run
+// per Eval call is what makes Plan (and the facade's PreparedView)
+// goroutine-safe — nothing of a run ever hangs off the Plan.
 type run struct {
 	plan  *Plan
 	can   *core.Canceler
@@ -123,6 +164,42 @@ type run struct {
 	// bsPool recycles dedup bitsets across (possibly nested) descendant
 	// expansions.
 	bsPool []bitset
+	// vecs and sets are the LIFO state arenas: per-layer vectors and
+	// state-set words of the vnodes on the enumeration path. A caller
+	// remembers the length, pushes, and truncates back once the
+	// callback that used the push returns.
+	vecs []stateSet
+	sets []uint64
+}
+
+// arenaDepth is the number of nested vnodes the first arena block holds;
+// deeper walks grow the arenas by doubling.
+const arenaDepth = 32
+
+// pushVec takes a cleared per-layer state vector from the arena.
+func (r *run) pushVec() []stateSet {
+	n, k := len(r.vecs), len(r.binds)
+	if n+k > cap(r.vecs) {
+		// Grow into a fresh block without copying: the vectors below n
+		// are reached only through their vnodes' slices, which keep
+		// pointing into the old block.
+		r.vecs = make([]stateSet, n, 2*cap(r.vecs)+k*arenaDepth)
+	}
+	r.vecs = r.vecs[:n+k]
+	v := r.vecs[n : n+k : n+k]
+	clear(v)
+	return v
+}
+
+// pushSet takes a state set of the given word count from the arena; its
+// contents are garbage, so the caller overwrites it (StepInto clears).
+func (r *run) pushSet(words int) stateSet {
+	n := len(r.sets)
+	if n+words > cap(r.sets) {
+		r.sets = make([]uint64, n, 2*cap(r.sets)+words*arenaDepth)
+	}
+	r.sets = r.sets[:n+words]
+	return r.sets[n : n+words : n+words]
 }
 
 func newRun(p *Plan, can *core.Canceler, doc *tree.Node) *run {
@@ -183,31 +260,50 @@ func (r *run) putBS(b bitset) {
 	r.bsPool = append(r.bsPool, b)
 }
 
-// constant wraps a transform's constant element as a virtual node
-// attached at `at`, entering the stack at view index level.
-func (r *run) constant(elem *tree.Node, level int, at vnode) vnode {
-	return vnode{
+// symOf resolves the label of n, a node of the underlying tree of a vnode
+// with the given origin, in the document's symbol table. Document nodes
+// resolve through the index (foreign nodes — shared subtrees stolen by a
+// more recent indexing — by name inside SymOf); constant-element nodes
+// carry symbols of the query's own parse, so they resolve by name (NoSym
+// engages the bindings' string fallback).
+func (r *run) symOf(n *tree.Node, origin int) tree.SymID {
+	if origin == 0 {
+		return r.idx.SymOf(n)
+	}
+	return r.idx.Syms.Lookup(n.Label)
+}
+
+// yieldConstant passes fn a transform's constant element attached at
+// `at`, entering the stack at view index level. Its state vector lives in
+// the arena for the duration of the call.
+func (r *run) yieldConstant(elem *tree.Node, level int, at vnode, fn func(vnode) bool) bool {
+	mark := len(r.vecs)
+	ok := fn(vnode{
 		n:      elem,
 		label:  elem.Label,
 		sym:    r.idx.Syms.Lookup(elem.Label),
 		origin: level,
 		anchor: r.ordOf(at),
-		states: make([]stateSet, len(r.plan.layers)),
-	}
+		states: r.pushVec(),
+	})
+	r.vecs = r.vecs[:mark]
+	return ok
 }
 
 // eachChildAt enumerates the children of x as they appear in View_level —
 // the document after the first `level` transform layers. Navigation
 // passes elemsOnly; materialization needs text and comment children too
 // (updates cannot touch them, so they are yielded unwrapped with no label
-// or states).
-func (r *run) eachChildAt(x vnode, level int, elemsOnly bool, fn func(vnode)) {
+// or states). fn returns false to stop the enumeration; eachChildAt
+// reports whether it ran to the end (false also once the run is
+// cancelled). The vnodes passed to fn live in the run's arenas until fn
+// returns.
+func (r *run) eachChildAt(x vnode, level int, elemsOnly bool, fn func(vnode) bool) bool {
 	if r.can.Stopped() {
-		return
+		return false
 	}
 	if level == x.origin || x.deadAll() {
-		r.baseChildren(x, elemsOnly, fn)
-		return
+		return r.baseChildren(x, elemsOnly, fn)
 	}
 	// The children in View_level are the children in View_{level-1} with
 	// transform layer level-1 applied to them.
@@ -217,88 +313,91 @@ func (r *run) eachChildAt(x vnode, level int, elemsOnly bool, fn func(vnode)) {
 		// Layer li is disjoint below x: View_level and View_li agree
 		// here. Lower layers may still be live, so recurse rather than
 		// fall into the base loop.
-		r.eachChildAt(x, li, elemsOnly, fn)
-		return
+		return r.eachChildAt(x, li, elemsOnly, fn)
 	}
 	t := r.plan.layers[li]
 	u := &t.Query.Update
 	b := r.binds[li]
 	m := t.NFA
-	r.eachChildAt(x, li, elemsOnly, func(ch vnode) {
+	if !r.eachChildAt(x, li, elemsOnly, func(ch vnode) bool {
 		if ch.n.Kind != tree.Element {
-			fn(ch)
-			return
+			return fn(ch)
 		}
 		r.stats.Layers[li].NodesVisited++
-		st := b.Step(parent, ch.sym, ch.label, func(id int) bool {
+		mark := len(r.sets)
+		st := r.pushSet(len(parent))
+		b.StepInto(parent, ch.sym, ch.label, func(id int) bool {
 			for _, q := range m.States[id].Quals {
 				if !r.evalQualAt(ch, q, li) {
 					return false
 				}
 			}
 			return true
-		})
-		if m.Matches(st) {
-			switch u.Op {
-			case core.Delete:
-				// ch does not exist in View_level.
-				return
-			case core.Replace:
-				fn(r.constant(u.Elem, level, ch))
-				return
-			case core.Rename:
-				ch.label = u.Label
-				ch.sym = r.renameSyms[li]
-				ch.states[li] = st
-				fn(ch)
-				return
-			}
-			// Insert: the constant element appears when ch's own
+		}, st)
+		var ok bool
+		switch {
+		case !m.Matches(st) || u.Op == core.Insert:
+			// An insert's constant element appears when ch's own
 			// children are enumerated (it becomes ch's last child).
+			ch.states[li] = st
+			ok = fn(ch)
+		case u.Op == core.Delete:
+			// ch does not exist in View_level.
+			ok = true
+		case u.Op == core.Replace:
+			ok = r.yieldConstant(u.Elem, level, ch, fn)
+		case u.Op == core.Rename:
+			ch.label = u.Label
+			ch.sym = r.renameSyms[li]
+			ch.states[li] = st
+			ok = fn(ch)
 		}
-		ch.states[li] = st
-		fn(ch)
-	})
+		r.sets = r.sets[:mark]
+		return ok
+	}) {
+		return false
+	}
 	// An insert-matched x grows the constant element as its last child in
 	// View_level; layers above li navigate and transform it like any
 	// other child.
 	if u.Op == core.Insert && m.Matches(parent) {
 		r.stats.NodesVisited++
-		fn(r.constant(u.Elem, level, x))
+		return r.yieldConstant(u.Elem, level, x, fn)
 	}
+	return true
 }
 
 // baseChildren enumerates the underlying children of x: the real document
 // children for origin-0 nodes, the constant-element subtree otherwise.
 // Children of a node every layer is dead below inherit the nil states
-// slice, so whole disjoint regions never allocate per-layer state.
-func (r *run) baseChildren(x vnode, elemsOnly bool, fn func(vnode)) {
+// slice; the others take a vector from the arena for the duration of
+// their callback.
+func (r *run) baseChildren(x vnode, elemsOnly bool, fn func(vnode) bool) bool {
 	dead := x.deadAll()
-	fromDoc := x.origin == 0
 	for _, ch := range x.n.Children {
 		if ch.Kind != tree.Element {
-			if !elemsOnly {
-				fn(vnode{n: ch, origin: x.origin, anchor: x.anchor})
+			if !elemsOnly && !fn(vnode{n: ch, origin: x.origin, anchor: x.anchor}) {
+				return false
 			}
 			continue
 		}
 		r.stats.NodesVisited++
-		c := vnode{n: ch, label: ch.Label, origin: x.origin, anchor: x.anchor}
-		if fromDoc {
-			// Foreign nodes (shared subtrees stolen by a more recent
-			// indexing) resolve by name inside SymOf.
-			c.sym = r.idx.SymOf(ch)
-		} else {
-			// Constant-element nodes carry symbols of the query's own
-			// parse, not the document's; resolve against the document
-			// table (NoSym engages the string fallback).
-			c.sym = r.idx.Syms.Lookup(ch.Label)
+		c := vnode{n: ch, label: ch.Label, sym: r.symOf(ch, x.origin), origin: x.origin, anchor: x.anchor}
+		if dead {
+			if !fn(c) {
+				return false
+			}
+			continue
 		}
-		if !dead {
-			c.states = make([]stateSet, len(r.plan.layers))
+		mark := len(r.vecs)
+		c.states = r.pushVec()
+		ok := fn(c)
+		r.vecs = r.vecs[:mark]
+		if !ok {
+			return false
 		}
-		fn(c)
 	}
+	return true
 }
 
 // selectPathAt navigates path steps through View_level. A '//' step
@@ -328,15 +427,17 @@ func (r *run) selectPathAt(from vnode, steps []xpath.Step, level int) []vnode {
 func (r *run) applyDescChildAt(frontier []vnode, s xpath.Step, level int) []vnode {
 	var out []vnode
 	seen := r.getBS()
-	var visit func(x vnode)
-	visit = func(x vnode) {
-		r.eachChildAt(x, level, true, func(ch vnode) {
-			if (s.Wildcard || ch.label == s.Label) && r.qualsHoldAt(ch, s.Quals, level) {
-				if seen.add(r.ordOf(ch)) {
-					out = append(out, ch)
-				}
+	var visit func(x vnode) bool
+	visit = func(x vnode) bool {
+		if x.deadAll() {
+			return r.deadStep(x, x.n, &s, level, &seen, &out)
+		}
+		return r.eachChildAt(x, level, true, func(ch vnode) bool {
+			if r.stepHoldsAt(ch, &s, level) && seen.add(r.ordOf(ch)) {
+				ch.detach()
+				out = append(out, ch)
 			}
-			visit(ch)
+			return visit(ch)
 		})
 	}
 	for _, f := range frontier {
@@ -346,6 +447,35 @@ func (r *run) applyDescChildAt(frontier []vnode, s xpath.Step, level int) []vnod
 	return out
 }
 
+// deadStep evaluates child step s below n, a node of x's underlying
+// subtree, when no layer can touch x's subtree: the paper's plain
+// navigation, straight over the real tree with no vnode per visited node
+// and no per-layer state. Given seen, it is the fused '//l' step: it also
+// descends, and deduplicates through seen. It counts NodesVisited and
+// polls cancellation exactly as the general walk does through
+// baseChildren.
+func (r *run) deadStep(x vnode, n *tree.Node, s *xpath.Step, level int, seen *bitset, out *[]vnode) bool {
+	if r.can.Stopped() {
+		return false
+	}
+	for _, ch := range n.Children {
+		if ch.Kind != tree.Element {
+			continue
+		}
+		r.stats.NodesVisited++
+		if s.Wildcard || ch.Label == s.Label {
+			c := vnode{n: ch, label: ch.Label, sym: r.symOf(ch, x.origin), origin: x.origin, anchor: x.anchor}
+			if r.qualsHoldAt(c, s.Quals, level) && (seen == nil || seen.add(r.ordOf(c))) {
+				*out = append(*out, c)
+			}
+		}
+		if seen != nil && !r.deadStep(x, ch, s, level, seen, out) {
+			return false
+		}
+	}
+	return true
+}
+
 func (r *run) applyStepAt(frontier []vnode, s xpath.Step, level int) []vnode {
 	var out []vnode
 	switch s.Axis {
@@ -353,27 +483,29 @@ func (r *run) applyStepAt(frontier []vnode, s xpath.Step, level int) []vnode {
 		// A node has one parent, so distinct frontier entries yield
 		// distinct children: no deduplication needed.
 		for _, f := range frontier {
-			r.eachChildAt(f, level, true, func(ch vnode) {
-				if !s.Wildcard && ch.label != s.Label {
-					return
-				}
-				if r.qualsHoldAt(ch, s.Quals, level) {
+			if f.deadAll() {
+				r.deadStep(f, f.n, &s, level, nil, &out)
+				continue
+			}
+			r.eachChildAt(f, level, true, func(ch vnode) bool {
+				if r.stepHoldsAt(ch, &s, level) {
+					ch.detach()
 					out = append(out, ch)
 				}
+				return true
 			})
 		}
 	case xpath.DescendantOrSelf:
 		// The frontier may contain a node and its own descendant, so the
 		// expansion deduplicates by virtual-node ordinal.
 		seen := r.getBS()
-		var visit func(x vnode)
-		visit = func(x vnode) {
-			if r.qualsHoldAt(x, s.Quals, level) {
-				if seen.add(r.ordOf(x)) {
-					out = append(out, x)
-				}
+		var visit func(x vnode) bool
+		visit = func(x vnode) bool {
+			if r.qualsHoldAt(x, s.Quals, level) && seen.add(r.ordOf(x)) {
+				x.detach()
+				out = append(out, x)
 			}
-			r.eachChildAt(x, level, true, visit)
+			return r.eachChildAt(x, level, true, visit)
 		}
 		for _, f := range frontier {
 			visit(f)
@@ -426,53 +558,79 @@ func (r *run) evalQualAt(x vnode, q xpath.Qual, level int) bool {
 	case *xpath.NotQual:
 		return !r.evalQualAt(x, q.X, level)
 	case *xpath.PathQual:
-		return r.pathTestAt(x, q.Path, xpath.OpNone, "", level)
+		return r.witnessAt(x, xpath.NewPathTest(q.Path, xpath.OpNone, ""), level)
 	case *xpath.CmpQual:
-		return r.pathTestAt(x, q.Path, q.Op, q.Lit, level)
+		return r.witnessAt(x, xpath.NewPathTest(q.Path, q.Op, q.Lit), level)
 	default:
 		return false
 	}
 }
 
 // splitAttrTail splits a qualifier or operand path into its navigation
-// steps and the trailing attribute name, if any. It is the one home of
-// the attribute-tail convention shared by pathTestAt, operandValues and
-// holeNodes: a path like a/b/@id navigates a/b and then reads @id, an
-// attribute-only path @id reads the attribute of the context node itself
-// (no steps), and a nil or empty path yields (nil, "").
+// steps and the trailing attribute name, if any, by xpath's convention
+// (xpath.NewPathTest): a/b/@id navigates a/b and then reads @id, @id reads
+// the context node's own attribute, and a nil path yields (nil, "").
 func splitAttrTail(p *xpath.Path) (steps []xpath.Step, attr string) {
-	if p == nil {
-		return nil, ""
-	}
-	steps = p.Steps
-	if k := len(steps); k > 0 && steps[k-1].Axis == xpath.Attribute {
-		return steps[:k-1], steps[k-1].Label
-	}
-	return steps, ""
+	t := xpath.NewPathTest(p, xpath.OpNone, "")
+	return t.Steps, t.Attr
 }
 
-// pathTestAt mirrors xpath's qualifier path evaluation over View_level.
-// Node values and attributes are unaffected by the update kinds of §2
-// (they add, remove or relabel element nodes, and Value reads immediate
-// text children only), so only navigation is update-aware.
-func (r *run) pathTestAt(x vnode, p *xpath.Path, op xpath.CmpOp, lit string, level int) bool {
-	steps, attr := splitAttrTail(p)
-	for _, m := range r.selectPathAt(x, steps, level) {
-		if attr != "" {
-			v, ok := m.n.Attr(attr)
-			if !ok {
-				continue
-			}
-			if op == xpath.OpNone || xpath.Compare(v, op, lit) {
-				return true
-			}
-			continue
+// witnessAt is xpath.PathTest.Exists over View_level: a depth-first search
+// that stops the enumeration it is in at the first node passing t, and
+// hands the rest of the search to xpath at the first node no layer can
+// touch, where plain evaluation is exact. Node values and attributes are
+// unaffected by the update kinds of §2 (they add, remove or relabel
+// element nodes, and Value reads immediate text children only), so only
+// navigation is update-aware.
+func (r *run) witnessAt(x vnode, t xpath.PathTest, level int) bool {
+	if x.deadAll() {
+		return t.Exists(x.n)
+	}
+	if len(t.Steps) == 0 {
+		return t.Holds(x.n)
+	}
+	s := &t.Steps[0]
+	rest := t
+	rest.Steps = t.Steps[1:]
+	switch s.Axis {
+	case xpath.Child:
+		return r.someChildAt(x, level, func(ch vnode) bool {
+			return r.stepHoldsAt(ch, s, level) && r.witnessAt(ch, rest, level)
+		})
+	case xpath.DescendantOrSelf:
+		if len(s.Quals) == 0 && len(rest.Steps) > 0 && rest.Steps[0].Axis == xpath.Child {
+			// '//l' in one walk, like selectPathAt's fused step: each
+			// child is tested as an l, then searched below.
+			l := &rest.Steps[0]
+			after := rest
+			after.Steps = rest.Steps[1:]
+			return r.someChildAt(x, level, func(ch vnode) bool {
+				return r.stepHoldsAt(ch, l, level) && r.witnessAt(ch, after, level) || r.witnessAt(ch, t, level)
+			})
 		}
-		if op == xpath.OpNone || xpath.Compare(m.n.Value(), op, lit) {
-			return true
-		}
+		return r.qualsHoldAt(x, s.Quals, level) && r.witnessAt(x, rest, level) ||
+			r.someChildAt(x, level, func(ch vnode) bool { return r.witnessAt(ch, t, level) })
+	case xpath.Self:
+		return r.qualsHoldAt(x, s.Quals, level) && r.witnessAt(x, rest, level)
 	}
 	return false
+}
+
+// someChildAt reports whether pred holds for some child of x in
+// View_level, stopping the enumeration at the first that does.
+func (r *run) someChildAt(x vnode, level int, pred func(vnode) bool) bool {
+	found := false
+	r.eachChildAt(x, level, true, func(ch vnode) bool {
+		found = pred(ch)
+		return !found
+	})
+	return found
+}
+
+// stepHoldsAt reports whether ch passes child step s over View_level: its
+// label test and its qualifiers.
+func (r *run) stepHoldsAt(ch vnode, s *xpath.Step, level int) bool {
+	return (s.Wildcard || ch.label == s.Label) && r.qualsHoldAt(ch, s.Quals, level)
 }
 
 // condsHold evaluates the user query's where clause at x over the full
@@ -594,7 +752,7 @@ func (r *run) materialize(x vnode) *tree.Node {
 	// must stay fresh copies).
 	shared := x.origin == 0 && x.label == x.n.Label
 	i := 0
-	r.eachChildAt(x, len(r.plan.layers), false, func(c vnode) {
+	r.eachChildAt(x, len(r.plan.layers), false, func(c vnode) bool {
 		var m *tree.Node
 		if c.n.Kind != tree.Element {
 			m = c.n
@@ -606,6 +764,7 @@ func (r *run) materialize(x vnode) *tree.Node {
 		}
 		i++
 		out.Children = append(out.Children, m)
+		return true
 	})
 	if shared && i == len(x.n.Children) {
 		return x.n

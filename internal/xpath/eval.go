@@ -106,42 +106,110 @@ func EvalQual(n *tree.Node, q Qual) bool {
 	case *NotQual:
 		return !EvalQual(n, q.X)
 	case *PathQual:
-		return evalPathTest(n, q.Path, OpNone, "")
+		return NewPathTest(q.Path, OpNone, "").Exists(n)
 	case *CmpQual:
-		return evalPathTest(n, q.Path, q.Op, q.Lit)
+		return NewPathTest(q.Path, q.Op, q.Lit).Exists(n)
 	default:
 		return false
 	}
 }
 
-// evalPathTest evaluates a qualifier path at n. With op == OpNone it is an
-// existence test; otherwise it tests whether some selected value satisfies
-// "value op lit". A trailing attribute step tests attribute presence or
-// value; an empty path tests the context node itself.
-func evalPathTest(n *tree.Node, p *Path, op CmpOp, lit string) bool {
-	steps := p.Steps
-	var attr string
-	if k := len(steps); k > 0 && steps[k-1].Axis == Attribute {
-		attr = steps[k-1].Label
-		steps = steps[:k-1]
+// PathTest is a qualifier path prepared for its test: the navigation
+// steps, the trailing attribute name (empty when the path ends on an
+// element) and the comparison a selected value must pass (OpNone: being
+// selected is enough). An empty path tests the context node itself.
+type PathTest struct {
+	Steps []Step
+	Attr  string
+	Op    CmpOp
+	Lit   string
+}
+
+// NewPathTest splits p into its navigation steps and attribute tail. It
+// is the one home of the attribute-tail convention: a/b/@id navigates a/b
+// and then reads @id, an attribute-only path @id reads the attribute of
+// the context node itself (no steps), and a nil path has no steps and no
+// tail.
+func NewPathTest(p *Path, op CmpOp, lit string) PathTest {
+	t := PathTest{Op: op, Lit: lit}
+	if p == nil {
+		return t
 	}
-	nodes := Select(n, &Path{Steps: steps})
-	for _, m := range nodes {
-		if attr != "" {
-			v, ok := m.Attr(attr)
-			if !ok {
-				continue
-			}
-			if op == OpNone || Compare(v, op, lit) {
+	t.Steps = p.Steps
+	if k := len(t.Steps); k > 0 && t.Steps[k-1].Axis == Attribute {
+		t.Attr = t.Steps[k-1].Label
+		t.Steps = t.Steps[:k-1]
+	}
+	return t
+}
+
+// Holds reports whether m, a node the steps selected, passes the test's
+// tail: the attribute (present, and comparing true when Op is set) or the
+// node's value.
+func (t PathTest) Holds(m *tree.Node) bool {
+	v := ""
+	if t.Attr != "" {
+		var ok bool
+		if v, ok = m.Attr(t.Attr); !ok {
+			return false
+		}
+	} else if t.Op != OpNone {
+		v = m.Value()
+	}
+	return t.Op == OpNone || Compare(v, t.Op, t.Lit)
+}
+
+// Exists reports whether some node that Select(n, Steps) would return
+// passes Holds: checkp()'s path test. It is a first-witness search, not a
+// Select: depth first, it returns at the first node that passes and
+// builds no frontier and no duplicate set, since a node reached twice
+// cannot change an existence answer. A '//' step followed by a child step
+// is walked as one, like the fused walks of the evaluators.
+func (t PathTest) Exists(n *tree.Node) bool {
+	if len(t.Steps) == 0 {
+		return t.Holds(n)
+	}
+	s := &t.Steps[0]
+	rest := t
+	rest.Steps = t.Steps[1:]
+	switch s.Axis {
+	case Child:
+		for _, c := range n.Children {
+			if c.Kind == tree.Element && s.holds(c) && rest.Exists(c) {
 				return true
 			}
-			continue
 		}
-		if op == OpNone || Compare(m.Value(), op, lit) {
+	case DescendantOrSelf:
+		if len(s.Quals) == 0 && len(rest.Steps) > 0 && rest.Steps[0].Axis == Child {
+			// '//l': every l child of n or of one of its descendants.
+			l := &rest.Steps[0]
+			after := rest
+			after.Steps = rest.Steps[1:]
+			for _, c := range n.Children {
+				if c.Kind == tree.Element && (l.holds(c) && after.Exists(c) || t.Exists(c)) {
+					return true
+				}
+			}
+			return false
+		}
+		if (n.Kind == tree.Element || n.Kind == tree.Document) && qualsHold(n, s.Quals) && rest.Exists(n) {
 			return true
 		}
+		for _, c := range n.Children {
+			if c.Kind == tree.Element && t.Exists(c) {
+				return true
+			}
+		}
+	case Self:
+		return qualsHold(n, s.Quals) && rest.Exists(n)
 	}
 	return false
+}
+
+// holds reports whether element c passes child step s: its label test and
+// its qualifiers.
+func (s *Step) holds(c *tree.Node) bool {
+	return (s.Wildcard || c.Label == s.Label) && qualsHold(c, s.Quals)
 }
 
 // mayBeNumber is a cheap pre-filter for parseFloat: it accepts every

@@ -157,6 +157,51 @@ func TestPreparedViewConcurrent(t *testing.T) {
 	}
 }
 
+// TestConcurrentComposedUserQueries evaluates the security view's user
+// queries from 4 goroutines at once over one XMark document, under -race
+// in CI's race guard. The view's first layer keeps the regions subtree
+// live, so every run pushes and truncates its own state arenas through
+// deep walks, qualifier re-entries and frontier copies: a run's arenas
+// must never be shared with another run.
+func TestConcurrentComposedUserQueries(t *testing.T) {
+	doc := benchDoc(t, 0.01)
+	pvs := prepareSecurityView(t)
+	want := make([]string, len(pvs))
+	for i, pv := range pvs {
+		got, _, err := pv.Eval(context.Background(), doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = got.String()
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range pvs {
+				i := (k + g*len(pvs)/goroutines) % len(pvs) // each goroutine starts elsewhere
+				got, _, err := pvs[i].Eval(context.Background(), doc)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got.String() != want[i] {
+					errs <- errors.New(securityViewQueries[i].name + ": concurrent evaluation diverged")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 func TestViewPlanCache(t *testing.T) {
 	eng := NewEngine()
 	v, err := eng.View(viewRedact)
