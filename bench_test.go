@@ -504,6 +504,62 @@ func BenchmarkPathCopyCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkTransformQueries answers the 40 transforms of U1-U10 under
+// every update kind over an XMark 0.05 snapshot whose chain image is
+// built, as xtqd answers query_full_doc: tree evaluates each result and
+// emits it (sax.Emit), served writes it with EvalTo, the walk that
+// builds no result. One op is all 40; allocs/op of served follow the
+// number of queries, not of result nodes.
+func BenchmarkTransformQueries(b *testing.B) {
+	ctx := context.Background()
+	st := NewStore(nil)
+	snap, _, err := st.Put(ctx, "d", benchDoc(b, 0.05))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap.Index().Image()
+	var ps []*Prepared
+	for i := 1; i <= 10; i++ {
+		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
+			p, err := st.Engine().PrepareQuery(queries.TransformOp(i, op))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ps = append(ps, p)
+		}
+	}
+	for _, leg := range []struct {
+		name string
+		run  func(p *Prepared, w io.Writer) error
+	}{
+		{"tree", func(p *Prepared, w io.Writer) error {
+			res, err := p.Eval(ctx, snap)
+			if err != nil {
+				return err
+			}
+			sw := sax.NewWriter(w)
+			if err := sax.Emit(res, sw); err != nil {
+				return err
+			}
+			return sw.Flush()
+		}},
+		{"served", func(p *Prepared, w io.Writer) error { return p.EvalTo(ctx, snap, w) }},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			var cd countingDiscard
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range ps {
+					if err := leg.run(p, &cd); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.SetBytes(cd.n / int64(b.N))
+		})
+	}
+}
+
 // countingDiscard is an io.Writer that only counts, so the serialisation
 // benchmarks measure the emitter and not a growing buffer.
 type countingDiscard struct{ n int64 }

@@ -175,12 +175,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	if !*indent {
+		return p.EvalTo(ctx, xtq.FileSource(*in), w)
+	}
 	result, err := p.Eval(ctx, xtq.FileSource(*in))
 	if err != nil {
 		return err
 	}
-	if *indent {
-		return result.WriteIndented(w)
-	}
-	return result.WriteXML(w)
+	return result.WriteIndented(w)
 }

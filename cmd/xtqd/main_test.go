@@ -307,6 +307,66 @@ func TestStreamErrorBeforeOutputReportsStatus(t *testing.T) {
 	}
 }
 
+// TestQueryErrorBeforeOutputReportsStatus: the emit walk buffers its
+// output, so a query whose context ends before its first byte answers
+// the typed status and JSON error of the tree path, without the version
+// headers of a result.
+func TestQueryErrorBeforeOutputReportsStatus(t *testing.T) {
+	st := xtq.NewStore(nil)
+	ts := httptest.NewServer(newServer(st, time.Nanosecond, 1<<20))
+	defer ts.Close()
+	if _, _, err := st.Put(t.Context(), "d", xtq.FromString(testDoc)); err != nil {
+		t.Fatal(err)
+	}
+	code, hdr, body := do(t, "POST", ts.URL+"/docs/d/query",
+		`transform copy $a := doc("d") modify do delete $a//price return $a`, nil)
+	if code != http.StatusGatewayTimeout {
+		t.Fatalf("query under expired deadline: %d %q, want 504", code, body)
+	}
+	if kind := hdr.Get("Content-Type"); kind != "application/json" || !strings.Contains(body, `"kind": "eval"`) {
+		t.Fatalf("error body %q (%s), want a JSON eval error", body, kind)
+	}
+	if hdr.Get("ETag") != "" || hdr.Get("X-Xtq-Version") != "" {
+		t.Fatalf("an error carries result version headers: %v", hdr)
+	}
+}
+
+// TestStreamedFailureAfterOutputTruncates: once bytes of a streamed
+// answer have reached the client, a failure aborts the response, so the
+// body ends without its terminating chunk and the client sees an error
+// rather than a complete-looking 200. The aborted request is still
+// counted by the instrumented middleware.
+func TestStreamedFailureAfterOutputTruncates(t *testing.T) {
+	st := xtq.NewStore(nil)
+	snap, _, err := st.Put(t.Context(), "d", xtq.FromString(testDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const route = "POST /test/abort"
+	before := mHTTPRequests.With(route, "200").Value()
+	h := instrument(route, 0, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		writeStreamed(w, snap, func(out io.Writer) error {
+			io.WriteString(out, "<db><part>")
+			w.(http.Flusher).Flush()
+			return io.ErrClosedPipe
+		})
+	}))
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	res, err := http.Post(ts.URL, "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	b, err := io.ReadAll(res.Body)
+	if res.StatusCode != http.StatusOK || string(b) != "<db><part>" || err == nil {
+		t.Fatalf("status %d, body %q, read error %v; want 200, the prefix and an error", res.StatusCode, b, err)
+	}
+	if got := mHTTPRequests.With(route, "200").Value(); got != before+1 {
+		t.Fatalf("aborted request counted %d times", got-before)
+	}
+}
+
 // TestStreamMatchesTreeWithImage: the second tree-path query of a
 // document builds its image (the first walks), and from then on ?stream=1
 // (whose two input passes read the snapshot through Snapshot.Open)

@@ -76,19 +76,23 @@ func instrument(pattern string, slow time.Duration, h http.Handler) http.Handler
 		sw := &statusWriter{ResponseWriter: w}
 		mHTTPInFlight.Inc()
 		start := time.Now()
+		// Deferred, so a handler that aborts a response it has begun
+		// (panic(http.ErrAbortHandler), see writeStreamed) is counted.
+		defer func() {
+			d := time.Since(start)
+			mHTTPInFlight.Dec()
+			code := sw.status
+			if code == 0 {
+				code = http.StatusOK
+			}
+			mHTTPRequests.With(pattern, strconv.Itoa(code)).Inc()
+			hist.Observe(d)
+			if logSlow && d >= slow {
+				mSlowQueries.Inc()
+				logSlowQuery(pattern, r, tr, code, d)
+			}
+		}()
 		h.ServeHTTP(sw, r)
-		d := time.Since(start)
-		mHTTPInFlight.Dec()
-		code := sw.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		mHTTPRequests.With(pattern, strconv.Itoa(code)).Inc()
-		hist.Observe(d)
-		if logSlow && d >= slow {
-			mSlowQueries.Inc()
-			logSlowQuery(pattern, r, tr, code, d)
-		}
 	})
 }
 

@@ -477,10 +477,12 @@ func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleQuery evaluates a transform query read from the body against
-// the current snapshot of the document, streaming the result document
-// through the Sink layer. ?method= overrides the engine's in-memory
-// method for this one evaluation, on the node's one engine (so a forced
-// method shares its compiled-query cache); ?stream=1 uses the two-pass
+// the current snapshot of the document, written by the topdown walk as
+// it decides it (Prepared.EvalTo) without building the result; see
+// writeStreamed for what a failure leaves. ?method= overrides the
+// engine's in-memory method for this one evaluation, on the node's one
+// engine (so a forced method shares its compiled-query cache), and
+// builds the result tree, as ?explain=1 does; ?stream=1 uses the two-pass
 // SAX evaluator instead, emitting output as it goes. Note that over an
 // in-memory snapshot the streaming evaluator's two input passes each
 // read a serialization of the tree (Snapshot.Open): the chain's image
@@ -551,23 +553,22 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if r.URL.Query().Get("stream") == "1" {
-		versionHeaders(w, snap)
-		w.Header().Set("Content-Type", "application/xml")
-		// The sink buffers, so a failure before the first flush (a bad
-		// evaluation, the timeout expiring mid-pass) can still report a
-		// proper status; once bytes are on the wire a truncated body is
-		// all a failure can leave behind.
-		tw := &trackingWriter{w: w}
-		if _, err := p.EvalStream(ctx, snap, xtq.ToWriter(tw)); err != nil {
-			if !tw.wrote {
-				w.Header().Del("Content-Type")
-				writeError(w, err)
-			}
-			return
-		}
+		writeStreamed(w, snap, func(w io.Writer) error {
+			_, err := p.EvalStream(ctx, snap, xtq.ToWriter(w))
+			return err
+		})
+		return
+	}
+	if method == "" && !explain {
+		// A query reads the snapshot's chain: its second read builds the
+		// image, whose ranges the walk copies and whose label masks
+		// prune it. Noted before the walk, so that read already gains.
+		snap.Image()
+		writeStreamed(w, snap, func(w io.Writer) error { return p.EvalTo(ctx, snap, w) })
 		return
 	}
 
+	// ?method= and ?explain=1 build the result tree.
 	var res *xtq.Node
 	if method == "" {
 		res, err = p.Eval(ctx, snap)
@@ -587,10 +588,30 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	// A query reads the snapshot's chain: its second read builds the
-	// image, which the result's untouched subtrees are copied from.
-	snap.Image()
+	snap.Image() // a forced method reads the chain too
 	writeResult(w, snap, res)
+}
+
+// writeStreamed answers with the XML that write produces, stamped with
+// the snapshot version it reads. write's output is buffered, so a failure
+// before the first buffer reaches the client (a bad evaluation, the
+// timeout expiring early) still answers its typed status and JSON error.
+// A failure after that cannot change the status any more: the handler
+// aborts (http.ErrAbortHandler), so the body ends without its
+// terminating chunk and the client sees a truncated response, never a
+// complete-looking one.
+func writeStreamed(w http.ResponseWriter, snap *xtq.Snapshot, write func(io.Writer) error) {
+	versionHeaders(w, snap)
+	w.Header().Set("Content-Type", "application/xml")
+	tw := &trackingWriter{w: w}
+	if err := write(tw); err != nil {
+		if tw.wrote {
+			panic(http.ErrAbortHandler)
+		}
+		w.Header().Del("ETag")
+		w.Header().Del("X-Xtq-Version")
+		writeError(w, err)
+	}
 }
 
 // writeResult serializes a result tree to the response, stamping the

@@ -213,8 +213,9 @@ func upperASCII(b []byte) string {
 // edits of FuzzSoARoundTrip's mix, one of them a deletion that forces a
 // compaction into a new chain. At every version, Snapshot.WriteXML and
 // query results through the image equal the plain walk (and the query
-// results the copy-then-update oracle), and every earlier version still
-// serializes to the bytes it had.
+// results the copy-then-update oracle), as does the emit walk pruned by
+// the image's label masks, and every earlier version still serializes
+// to the bytes it had.
 func TestImageAcrossVersions(t *testing.T) {
 	ctx := context.Background()
 	var doc strings.Builder
@@ -235,6 +236,7 @@ func TestImageAcrossVersions(t *testing.T) {
 	for _, q := range []string{
 		`transform copy $a := doc("d") modify do rename $a//pname as label return $a`,
 		`transform copy $a := doc("d") modify do insert <nw>n</nw> into $a//part[price > 20] return $a`,
+		`transform copy $a := doc("d") modify do delete $a//zz return $a`,
 	} {
 		p, err := core.ParseQuery(q)
 		if err != nil {
@@ -307,6 +309,13 @@ func TestImageAcrossVersions(t *testing.T) {
 			snap.Image() // the compaction's new chain is imaged on its second read
 			if got := emitted(t, res); got != want {
 				t.Fatalf("commit %d (%s): query result through the image differs", k, q)
+			}
+			var b strings.Builder
+			if err := core.EmitTopDown(ctx, c, snap.Root(), &b); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != want {
+				t.Fatalf("commit %d (%s): the emit walk over the image's masks differs", k, q)
 			}
 		}
 		for _, v := range history {

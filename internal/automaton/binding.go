@@ -1,6 +1,10 @@
 package automaton
 
-import "xtq/internal/tree"
+import (
+	"math/bits"
+
+	"xtq/internal/tree"
+)
 
 // Binding resolves an NFA's labelled transitions against one document's
 // symbol table, so stepping compares dense tree.SymIDs instead of label
@@ -20,25 +24,30 @@ type Binding struct {
 	// Syms is the bound symbol table; per-symbol caches size their rows
 	// by its Len.
 	Syms *tree.Symbols
-	// nextSym[id] is the symbol of States[id].NextLabel in the bound
-	// table, or NoSym when the state has no labelled transition or the
-	// table has never seen the label (such a transition can only fire
-	// through the string fallback).
-	nextSym []tree.SymID
+	// st[id] is what the binding knows of state id (see stateBind).
+	st []stateBind
+}
+
+// stateBind is one state's half of a Binding. sym is the symbol of
+// States[id].NextLabel in the bound table, or NoSym when the state has
+// no labelled transition or the table has never seen the label (such a
+// transition can only fire through the string fallback). acc is the
+// label mask (bit SymID % 64, as in tree.Index.Below) of every
+// transition into the final state reachable from the state: the labels
+// a node below one holding the state must carry to be selected. A
+// wildcard into the final state sets every bit; a label the table has
+// never seen sets NoSym's bit, which only a collision or a node of
+// another index — whose ancestors' masks have every bit set — can match.
+type stateBind struct {
+	sym tree.SymID
+	acc uint64
 }
 
 // Bind resolves m against a frozen symbol table (an indexed document's).
 // It performs lookups only — the table is never mutated, so one frozen
 // table may be bound by any number of concurrent evaluations.
 func (m *NFA) Bind(syms *tree.Symbols) *Binding {
-	b := &Binding{M: m, Syms: syms, nextSym: make([]tree.SymID, len(m.States))}
-	for i := range m.States {
-		st := &m.States[i]
-		if st.Next >= 0 && !st.NextWild && st.NextLabel != "" {
-			b.nextSym[i] = syms.Lookup(st.NextLabel)
-		}
-	}
-	return b
+	return m.bind(syms, syms.Lookup)
 }
 
 // BindIntern resolves m against a growing table the caller owns — the
@@ -48,14 +57,49 @@ func (m *NFA) Bind(syms *tree.Symbols) *Binding {
 // comparison no matter when (or whether) the document first uses the
 // label.
 func (m *NFA) BindIntern(syms *tree.Symbols) *Binding {
-	b := &Binding{M: m, Syms: syms, nextSym: make([]tree.SymID, len(m.States))}
+	return m.bind(syms, syms.Intern)
+}
+
+// bind resolves every labelled transition through sym and folds the
+// acc masks backwards: every transition New builds, labelled or ε,
+// leads to a later state, so a state's successors are final before it.
+func (m *NFA) bind(syms *tree.Symbols, sym func(string) tree.SymID) *Binding {
+	b := &Binding{M: m, Syms: syms, st: make([]stateBind, len(m.States))}
 	for i := range m.States {
-		st := &m.States[i]
-		if st.Next >= 0 && !st.NextWild && st.NextLabel != "" {
-			b.nextSym[i] = syms.Intern(st.NextLabel)
+		if st := &m.States[i]; st.Next >= 0 && !st.NextWild && st.NextLabel != "" {
+			b.st[i].sym = sym(st.NextLabel)
+		}
+	}
+	for i := len(m.States) - 1; i >= 0; i-- {
+		st, sb := &m.States[i], &b.st[i]
+		if st.Next >= 0 {
+			sb.acc |= b.st[st.Next].acc
+			if st.Next == m.Final {
+				sb.acc |= 1 << (uint(sb.sym) % 64)
+				if st.NextWild {
+					sb.acc = ^uint64(0)
+				}
+			}
+		}
+		if st.Eps >= 0 {
+			sb.acc |= b.st[st.Eps].acc
 		}
 	}
 	return b
+}
+
+// Needed returns the OR of acc over s: the labels some node strictly
+// below a node holding s must carry for the update to select it. When
+// Needed(s) & idx.Below(n) is 0, no descendant of n can be selected.
+func (b *Binding) Needed(s StateSet) uint64 {
+	var need uint64
+	for w, word := range s {
+		for word != 0 {
+			need |= b.st[w*64+bits.TrailingZeros64(word)].acc
+			word &= word - 1
+		}
+	}
+	return need
 }
 
 // matches reports whether state id's labelled transition fires on a node
@@ -69,7 +113,7 @@ func (b *Binding) matches(id int, sym tree.SymID, label string) bool {
 		return true
 	}
 	if sym != tree.NoSym {
-		return b.nextSym[id] == sym
+		return b.st[id].sym == sym
 	}
 	return st.NextLabel == label
 }

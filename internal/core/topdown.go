@@ -2,9 +2,11 @@ package core
 
 import (
 	"context"
+	"io"
 
 	"xtq/internal/automaton"
 	"xtq/internal/tree"
+	"xtq/internal/xerr"
 	"xtq/internal/xpath"
 )
 
@@ -64,6 +66,7 @@ type tdRun struct {
 	check QualChecker
 	can   *Canceler
 	sets  []automaton.StateSet // successor-set scratch, one per depth
+	open  bool                 // emitNode: a start tag awaits its '>'
 }
 
 func (r *tdRun) setAt(depth int) automaton.StateSet {
@@ -73,34 +76,42 @@ func (r *tdRun) setAt(depth int) automaton.StateSet {
 	return r.sets[depth]
 }
 
-// processNode applies the compiled update below (and at) node n, which the
-// traversal entered from state set s — i.e. s is the parent-level set and
-// n's label has not been consumed yet. It returns (replacement, kept):
-// kept is false when n is deleted; otherwise the replacement is the
-// original pointer when the update cannot touch n's subtree, or a rebuilt
-// node. This is the recursive body of algorithm topDown (Fig. 3).
-func (r *tdRun) processNode(n *tree.Node, s automaton.StateSet, depth int) (*tree.Node, bool) {
+// visit is topDown's decision at element n, which the traversal entered
+// from the parent-level state set s (Fig. 3), shared by the result-
+// building walk (processNode) and the writing one (emitNode): matched
+// reports whether n is selected, and below is the state set n's element
+// children are entered from, or nil when none of them needs a visit.
+// That is so when no state is alive below n (the paper's prune, lines
+// 2-3), when the walk is cancelled, and when no label a live state could
+// still select occurs below n (Binding.Needed against the subtree label
+// mask of tree.Index.Below). With matched false and below nil, n's
+// subtree is unchanged.
+func (r *tdRun) visit(n *tree.Node, s automaton.StateSet, depth int) (matched bool, below automaton.StateSet) {
 	if r.can.Stopped() {
-		return n, true
+		return false, nil
 	}
 	next := r.setAt(depth)
 	m := r.b.M
 	r.b.StepInto(s, r.idx.SymOf(n), n.Label, func(id int) bool { return r.check.Check(&m.States[id], n) }, next)
 	if next.Empty() {
-		// No state is alive below n: the subtree cannot be selected,
-		// return it unchanged (Fig. 3 lines 2-3).
-		return n, true
+		return false, nil
 	}
-	return r.processEntered(n, next, depth)
+	if r.b.Needed(next)&r.idx.Below(n) == 0 {
+		return m.Matches(next), nil
+	}
+	return m.Matches(next), next
 }
 
-// processEntered is processNode for a node whose label is already
-// consumed: entered is the state set after the transition on n. The child
-// slice is copied lazily — nodes whose subtree the update does not change
-// are returned by reference without allocating.
-func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth int) (*tree.Node, bool) {
+// processNode applies the compiled update below (and at) element n,
+// entered from state set s. It returns (replacement, kept): kept is
+// false when n is deleted; otherwise the replacement is the original
+// pointer when the update does not change n's subtree, or a rebuilt
+// node. The child slice is copied lazily, so unchanged subtrees are
+// returned by reference without allocating. This is the recursive body
+// of algorithm topDown (Fig. 3).
+func (r *tdRun) processNode(n *tree.Node, s automaton.StateSet, depth int) (*tree.Node, bool) {
+	matched, below := r.visit(n, s, depth)
 	u := &r.c.Query.Update
-	matched := r.b.M.Matches(entered)
 	if matched {
 		switch u.Op {
 		case Delete:
@@ -112,14 +123,18 @@ func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth i
 	}
 	var newChildren []*tree.Node
 	changed := false
-	for i, ch := range n.Children {
+	children := n.Children
+	if below == nil {
+		children = nil // no child needs a visit
+	}
+	for i, ch := range children {
 		if ch.Kind != tree.Element {
 			if changed {
 				newChildren = append(newChildren, ch)
 			}
 			continue
 		}
-		out, kept := r.processNode(ch, entered, depth+1)
+		out, kept := r.processNode(ch, below, depth+1)
 		if !changed && (!kept || out != ch) {
 			// First divergence: copy the unchanged prefix.
 			changed = true
@@ -156,25 +171,100 @@ func (r *tdRun) processEntered(n *tree.Node, entered automaton.StateSet, depth i
 	return out, true
 }
 
-// EvalTopDown implements algorithm topDown (§3.3, Fig. 3) for all four
-// update kinds. It traverses only the part of the tree reachable with a
-// non-empty automaton state set; subtrees the update cannot touch are
-// returned by reference (structural sharing), so the result is a
-// copy-on-write view over the input; an inserted or replacing element is
-// the Compiled's one frozen constant, shared by every result. The input
-// is never modified (the document is indexed on first evaluation, which
-// stamps ordinals — see tree.EnsureIndex — but its structure and content
-// are untouched).
-// Cancelling ctx aborts the traversal at node granularity.
-func EvalTopDown(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecker) (*tree.Node, error) {
+// emitNode writes to e what processNode's result for n serializes to,
+// building nothing: an unchanged subtree goes out as e.Node(n), which
+// copies its image range, a deleted one as nothing, a replaced one as
+// the constant, and a renamed or inserted-into one as its own tags
+// around its children's output. open marks that a start tag has been
+// written whose '>' is still due: an element all of whose children are
+// deleted must close as "/>", so the '>' waits for its first content.
+func (r *tdRun) emitNode(e *tree.Emitter, n *tree.Node, s automaton.StateSet, depth int) {
+	matched, below := r.visit(n, s, depth)
+	if r.can.Err() != nil {
+		return
+	}
+	u := &r.c.Query.Update
+	if matched {
+		switch u.Op {
+		case Delete:
+			return
+		case Replace:
+			r.content(e)
+			e.Node(r.c.elem)
+			return
+		}
+	} else if below == nil {
+		r.content(e)
+		e.Node(n)
+		return
+	}
+	r.content(e)
+	label := n.Label
+	if matched && u.Op == Rename {
+		label = u.Label
+	}
+	e.StartTag(label, n.Attrs)
+	r.open = true
+	for _, ch := range n.Children {
+		if ch.Kind == tree.Element && below != nil {
+			r.emitNode(e, ch, below, depth+1)
+		} else {
+			r.content(e)
+			e.Node(ch)
+		}
+		if e.Err() != nil || r.can.Err() != nil {
+			return
+		}
+	}
+	if matched && u.Op == Insert {
+		r.content(e)
+		e.Node(r.c.elem)
+	}
+	if r.open {
+		e.Raw("/>")
+		r.open = false
+	} else {
+		e.EndTag(label)
+	}
+}
+
+// content writes the '>' of an open start tag, before the tag's first
+// content.
+func (r *tdRun) content(e *tree.Emitter) {
+	if r.open {
+		e.Raw(">")
+		r.open = false
+	}
+}
+
+// newTDRun sets up topDown over doc, indexing it on first use. It
+// returns a value, which the walks keep on their stack.
+func newTDRun(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecker) tdRun {
 	idx := tree.EnsureIndex(doc)
-	r := &tdRun{
+	return tdRun{
 		c:     c,
 		idx:   idx,
 		b:     c.NFA.Bind(idx.Syms),
 		check: check,
 		can:   NewCanceler(ctx),
 	}
+}
+
+// EvalTopDown implements algorithm topDown (§3.3, Fig. 3) for all four
+// update kinds. It traverses only the part of the tree reachable with a
+// non-empty automaton state set, and of that only the subtrees that
+// hold a label the update could still select (tree.Index.Below, known
+// once the document's chain has an image); subtrees the update cannot
+// touch are returned by reference (structural sharing), so the result is
+// a copy-on-write view over the input; an inserted or replacing element
+// is the Compiled's one frozen constant, shared by every result. The
+// input is never modified (the document is indexed on first evaluation,
+// which stamps ordinals — see tree.EnsureIndex — but its structure and
+// content are untouched). EmitTopDown is the same walk writing the
+// result's serialization instead of building it.
+// Cancelling ctx aborts the traversal at node granularity.
+func EvalTopDown(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecker) (*tree.Node, error) {
+	r := newTDRun(ctx, c, doc, check)
 	s0 := c.NFA.InitialSet()
 	result := tree.NewDocument(nil)
 	changed := false
@@ -201,4 +291,47 @@ func EvalTopDown(ctx context.Context, c *Compiled, doc *tree.Node, check QualChe
 		return doc, nil
 	}
 	return result, nil
+}
+
+// EmitTopDown writes to w exactly the bytes that sax.Emit of
+// EvalTopDown(ctx, c, doc, DirectChecker{}) writes, through one
+// tree.Emitter, without building the result: the same walk (visit)
+// decides every node, and emitNode writes what processNode would have
+// built. Unchanged subtrees go out as copies of their image ranges.
+// The walk stops at the first write error, which it returns; a
+// cancelled ctx stops it at node granularity, and then the buffered
+// output is dropped, so a walk cancelled before 64 KiB of output has
+// written nothing to w.
+func EmitTopDown(ctx context.Context, c *Compiled, doc *tree.Node, w io.Writer) error {
+	if ctx != nil && ctx.Err() != nil {
+		return xerr.Wrap(xerr.Eval, ctx.Err())
+	}
+	e := tree.NewEmitter(w)
+	if doc.Kind != tree.Document {
+		// topDown answers an input it leaves unchanged with the input
+		// itself, which for anything but a document node serializes
+		// differently from the walk below: write the built answer.
+		res, err := EvalTopDown(ctx, c, doc, DirectChecker{})
+		if err != nil {
+			return err
+		}
+		e.Node(res)
+		return e.Flush()
+	}
+	r := newTDRun(ctx, c, doc, DirectChecker{})
+	s0 := c.NFA.InitialSet()
+	for _, ch := range doc.Children {
+		if ch.Kind == tree.Element {
+			r.emitNode(&e, ch, s0, 0)
+		} else {
+			e.Node(ch)
+		}
+		if e.Err() != nil {
+			break
+		}
+		if err := r.can.Err(); err != nil {
+			return err
+		}
+	}
+	return e.Flush()
 }

@@ -5,9 +5,8 @@
 // output and slow-query log lines.
 //
 // The design optimizes the instrumentation points, not the scrape: the
-// hot path of every instrument is one package-level atomic load (the
-// kill switch) plus one or two atomic adds — no locks, no allocation,
-// no map lookups. Labeled families (CounterVec and friends) resolve
+// hot path of every instrument is one or two atomic adds — no locks, no
+// allocation, no map lookups. Labeled families (CounterVec and friends) resolve
 // their children under a mutex, so callers on hot paths resolve once at
 // init and retain the child. Scraping walks the families under the
 // registry lock but reads the instrument values with plain atomic
@@ -15,10 +14,7 @@
 // stop-the-world.
 //
 // Subsystems register their instruments on the Default registry at
-// package init and increment them unconditionally; SetEnabled(false)
-// turns every counter add and histogram observation into a no-op.
-// Gauges ignore the kill switch: their Inc/Dec pairs must stay balanced
-// across a toggle.
+// package init and increment them unconditionally.
 package obs
 
 import (
@@ -31,18 +27,6 @@ import (
 	"time"
 )
 
-// disabled is the global kill switch, inverted so the zero value means
-// enabled. Counter adds and histogram observations check it; gauges and
-// traces do not.
-var disabled atomic.Bool
-
-// SetEnabled arms or disarms every counter and histogram in the
-// process. Registration, exposition and gauges are unaffected.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether counters and histograms record.
-func Enabled() bool { return !disabled.Load() }
-
 // Counter is a monotonically increasing value. The zero value is usable
 // but unregistered; obtain registered counters from a Registry.
 type Counter struct {
@@ -52,19 +36,13 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Add adds n. A no-op while the package is disabled.
-func (c *Counter) Add(n uint64) {
-	if disabled.Load() {
-		return
-	}
-	c.v.Add(n)
-}
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a value that goes up and down. Gauge operations ignore the
-// kill switch so Inc/Dec pairs stay balanced across a toggle.
+// Gauge is a value that goes up and down.
 type Gauge struct {
 	v atomic.Int64
 }
@@ -110,11 +88,8 @@ type Histogram struct {
 	sum    atomic.Int64 // nanoseconds
 }
 
-// Observe records one duration. A no-op while the package is disabled.
+// Observe records one duration.
 func (h *Histogram) Observe(d time.Duration) {
-	if disabled.Load() {
-		return
-	}
 	if d < 0 {
 		d = 0
 	}

@@ -30,32 +30,6 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
-func TestKillSwitch(t *testing.T) {
-	defer SetEnabled(true)
-	r := NewRegistry()
-	c := r.Counter("test_total", "t")
-	h := r.Histogram("test_seconds", "t")
-	g := r.Gauge("test_gauge", "t")
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() after SetEnabled(false)")
-	}
-	c.Add(10)
-	h.Observe(time.Millisecond)
-	g.Inc() // gauges ignore the switch
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("disabled instruments recorded: counter=%d hist=%d", c.Value(), h.Count())
-	}
-	if g.Value() != 1 {
-		t.Fatalf("disabled gauge = %d, want 1", g.Value())
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatalf("re-enabled counter = %d, want 1", c.Value())
-	}
-}
-
 func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("test_lat_seconds", "latency")

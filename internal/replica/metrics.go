@@ -5,7 +5,7 @@ import "xtq/internal/obs"
 // Replication instruments on the process-wide obs registry. The lag
 // gauges mirror Stats.BehindBytes/BehindRecords — including the -1
 // "unknown" reading, so dashboards can tell "caught up" from "not yet
-// comparable". Gauges ignore the obs kill switch by design.
+// comparable".
 var (
 	mBehindBytes = obs.Default.Gauge("xtq_replica_behind_bytes",
 		"Byte lag behind the primary's WAL tail (-1 before the first fetch).")

@@ -23,9 +23,18 @@ import (
 // view stamped in place (StampChain) is a chain too: its image covers
 // the nodes the view created, and a later view version that splices
 // them copies their bytes.
+//
+// Beside each range the image keeps the node's subtree label mask: the
+// labels strictly below the node, one bit per label (SymID % 64 in the
+// chain's table), which Index.Below hands to the evaluators so they can
+// skip descents that cannot reach a label they select. A node whose
+// subtree holds a node of another index has every bit set: its labels
+// are ids of another table. A collision between two labels only makes
+// the mask admit more, never less.
 type Image struct {
 	data  []byte
-	spans []span // by ordinal; end == 0 means not covered
+	spans []span   // by ordinal; end == 0 means not covered
+	below []uint64 // by ordinal, valid where spans is: labels strictly below
 }
 
 // span is the byte range [start,end) of one node's serialization.
@@ -102,19 +111,37 @@ func (ix *Index) LoadImage() *Image {
 	return ix.chain.img.Load()
 }
 
+// Below returns the label mask of n's subtree (see Image): the labels
+// strictly below n, bit SymID % 64 of each in ix's chain table. When no
+// image of ix's chain covers n — n is unstamped, of another index or
+// chain, created after the image, or its chain has no image yet — every
+// bit is set, which prunes nothing.
+func (ix *Index) Below(n *Node) uint64 {
+	if ix.chain == nil || !ix.Contains(n) {
+		return ^uint64(0)
+	}
+	img := ix.chain.img.Load()
+	if img == nil || uint(n.ord) >= uint(len(img.below)) || img.spans[n.ord].end == 0 {
+		return ^uint64(0)
+	}
+	return img.below[n.ord]
+}
+
 // buildImage serializes ix.Root twice: once to measure it, once into an
-// exactly sized buffer while recording the ranges. The image is built
-// once per chain and kept for the chain's life, so it takes a second
-// walk rather than leaving a transient copy of the document behind.
+// exactly sized buffer while recording the ranges and label masks. The
+// image is built once per chain and kept for the chain's life, so it
+// takes a second walk rather than leaving a transient copy of the
+// document behind.
 func buildImage(ix *Index) *Image {
 	var sink imageSink
 	if !writeImage(ix, &sink, nil) {
 		return &Image{}
 	}
 	sink = imageSink{buf: make([]byte, 0, sink.n), keep: true}
-	spans := make([]span, ix.NumNodes)
-	writeImage(ix, &sink, spans)
-	return &Image{data: sink.buf, spans: spans}
+	img := &Image{spans: make([]span, ix.NumNodes), below: make([]uint64, ix.NumNodes)}
+	writeImage(ix, &sink, img)
+	img.data = sink.buf
+	return img
 }
 
 var errImageTooLarge = errors.New("tree: image exceeds 4 GiB")
@@ -139,10 +166,11 @@ func (s *imageSink) Write(p []byte) (int, error) {
 
 // writeImage writes ix.Root to s exactly as Emitter.Node does, with an
 // iterative walk (documents as deep as WithMaxDepth admits must not
-// overflow the stack), and records in spans, when non-nil, the range of
-// every member node with children. It reports false when the output does
-// not fit uint32 offsets.
-func writeImage(ix *Index, s *imageSink, spans []span) bool {
+// overflow the stack), and records in img, when non-nil, the range and
+// the label mask of every member node with children, both on the node's
+// exit, when its children's masks are final. It reports false when the
+// output does not fit uint32 offsets.
+func writeImage(ix *Index, s *imageSink, img *Image) bool {
 	e := NewEmitter(s)
 	type frame struct {
 		n     *Node
@@ -157,8 +185,9 @@ func writeImage(ix *Index, s *imageSink, spans []span) bool {
 			if n.Kind == Element {
 				e.EndTag(n.Label)
 			}
-			if spans != nil && ix.Contains(n) {
-				spans[n.ord] = span{uint32(f.start), uint32(s.n + len(e.buf))}
+			if img != nil && ix.Contains(n) {
+				img.spans[n.ord] = span{uint32(f.start), uint32(s.n + len(e.buf))}
+				img.below[n.ord] = ix.childMasks(n, img.below)
 			}
 			continue
 		}
@@ -181,4 +210,21 @@ func writeImage(ix *Index, s *imageSink, spans []span) bool {
 		}
 	}
 	return e.Flush() == nil
+}
+
+// childMasks folds the label masks of n's children, each child's own
+// label bit with the mask below it, into the mask below n. A child of
+// another index sets every bit.
+func (ix *Index) childMasks(n *Node, below []uint64) uint64 {
+	var m uint64
+	for _, c := range n.Children {
+		if c.Kind != Element {
+			continue
+		}
+		if !ix.Contains(c) {
+			return ^uint64(0)
+		}
+		m |= 1<<(uint(c.Sym)%64) | below[c.ord]
+	}
+	return m
 }

@@ -103,6 +103,71 @@ func TestImageServesLaterVersions(t *testing.T) {
 	}
 }
 
+// TestBelowMasks: along a chain imaged at its third version, Below
+// returns, for every node the image covers, the labels strictly below
+// it (bit SymID % 64), and every bit for anything else: nodes created
+// after the image, leaves, nodes outside the chain, and every node
+// before the chain has an image.
+func TestBelowMasks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	root, ix, _ := Freeze(Generate(rng, DefaultGenOptions()), nil)
+	versions := []*Index{ix}
+	for len(versions) < 12 {
+		if out, hit := randomEdit(t, rng, root); hit {
+			root, ix, _ = PathCopy(out, ix)
+			versions = append(versions, ix)
+		}
+		if len(versions) == 3 && versions[0].Below(versions[0].Root) != ^uint64(0) {
+			t.Fatal("a chain without an image masks its root")
+		}
+		if len(versions) == 3 && versions[2].LoadImage() == nil {
+			versions[2].Image()
+		}
+	}
+	img := versions[2].LoadImage()
+	var below func(n *Node) uint64
+	below = func(n *Node) uint64 {
+		var m uint64
+		for _, c := range n.Children {
+			if c.Kind == Element {
+				m |= 1<<(uint(c.Sym)%64) | below(c)
+			}
+		}
+		return m
+	}
+	masked := 0
+	for i, v := range versions {
+		stack := []*Node{v.Root}
+		for len(stack) > 0 {
+			n := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			stack = append(stack, n.Children...)
+			got := v.Below(n)
+			if img.Subtree(n) == nil {
+				if got != ^uint64(0) {
+					t.Fatalf("version %d: an uncovered node is masked %x", i, got)
+				}
+				continue
+			}
+			if want := below(n); got != want {
+				t.Fatalf("version %d: <%s> masked %x, want %x", i, n.Label, got, want)
+			}
+			masked++
+		}
+	}
+	if masked == 0 {
+		t.Fatal("no node masked")
+	}
+	if versions[5].Below(versions[5].Root.DeepCopy()) != ^uint64(0) {
+		t.Fatal("an unstamped node is masked")
+	}
+	other, oix, _ := Freeze(root.DeepCopy(), nil)
+	oix.Image()
+	if versions[5].Below(other.Children[0]) != ^uint64(0) || oix.Below(versions[5].Root.Children[0]) != ^uint64(0) {
+		t.Fatal("a node of another chain is masked")
+	}
+}
+
 // TestConcurrentImageBuild: goroutines racing to build the first image
 // of one chain all get the same published image, exactly one of them
 // reports the build, and every emission through it is identical.

@@ -2,6 +2,7 @@ package xtq
 
 import (
 	"context"
+	"io"
 	"time"
 
 	"xtq/internal/core"
@@ -54,12 +55,57 @@ func (p *Prepared) Eval(ctx context.Context, src Source) (*Node, error) {
 // reports the decision, as on an engine built WithMethod(MethodAuto).
 // An unknown m fails with a KindEval error before src is read.
 func (p *Prepared) EvalWith(ctx context.Context, src Source, m Method) (*Node, error) {
-	if _, err := core.ParseMethod(string(m)); err != nil {
+	doc, m, err := p.begin(ctx, src, m)
+	if err != nil {
 		return nil, err
+	}
+	start := time.Now()
+	out, err := p.compiled.EvalContext(ctx, doc, m)
+	p.evaluated(ctx, m, start)
+	if err != nil {
+		return nil, classify(err, KindEval)
+	}
+	return out, nil
+}
+
+// EvalTo evaluates the query over src with the engine's method and
+// writes the transformed document to w, exactly the bytes Eval's result
+// serializes to. Under MethodTopDown (and MethodAuto) the walk writes its
+// answer as it decides it and builds no result tree (core.EmitTopDown):
+// unchanged subtrees go out as copies from their chain's image. Any
+// other method runs Eval and serializes the result. The output is
+// buffered in 64 KiB spills, so a failure before the first spill has
+// written nothing to w; the first write error stops the walk and is
+// returned as KindIO. Cancellation is a KindEval error, as for Eval.
+func (p *Prepared) EvalTo(ctx context.Context, src Source, w io.Writer) error {
+	if core.Resolve(p.eng.method) != core.MethodTopDown {
+		res, err := p.Eval(ctx, src)
+		if err != nil {
+			return err
+		}
+		return classify(res.WriteXML(w), KindIO)
+	}
+	doc, m, err := p.begin(ctx, src, p.eng.method)
+	if err != nil {
+		return err
+	}
+	start := time.Now()
+	err = core.EmitTopDown(ctx, p.compiled, doc, w)
+	p.evaluated(ctx, m, start)
+	return classify(err, KindIO)
+}
+
+// begin is the part of an evaluation before the walk: it validates m,
+// parses src, resolves MethodAuto (reporting the decision) and notes the
+// method and document size on the context's trace. It returns the
+// document and the method that runs.
+func (p *Prepared) begin(ctx context.Context, src Source, m Method) (*Node, Method, error) {
+	if _, err := core.ParseMethod(string(m)); err != nil {
+		return nil, m, err
 	}
 	doc, err := p.eng.parse(ctx, src)
 	if err != nil {
-		return nil, err
+		return nil, m, err
 	}
 	tr := obs.TraceFrom(ctx)
 	if m == core.MethodAuto {
@@ -83,17 +129,17 @@ func (p *Prepared) EvalWith(ctx context.Context, src Source, m Method) (*Node, e
 			tr.SetDocNodesFunc(doc.Size)
 		}
 	}
-	start := time.Now()
-	out, err := p.compiled.EvalContext(ctx, doc, m)
+	return doc, m, nil
+}
+
+// evaluated records an evaluation of method m that began at start on
+// the eval histogram and the context's trace.
+func (p *Prepared) evaluated(ctx context.Context, m Method, start time.Time) {
 	d := time.Since(start)
 	mEvalSeconds.With(string(m)).Observe(d)
-	if tr != nil {
+	if tr := obs.TraceFrom(ctx); tr != nil {
 		tr.AddEval(d)
 	}
-	if err != nil {
-		return nil, classify(err, KindEval)
-	}
-	return out, nil
 }
 
 // EvalStream evaluates the query over src with the streaming twoPassSAX
