@@ -253,6 +253,67 @@ func BenchmarkComposedUserQueries(b *testing.B) {
 	}
 }
 
+// BenchmarkQualifiedViewCommit measures view maintenance on the commit
+// path, which no wire workload reads for a qualified view: one op is a
+// note insert or delete under one person of an XMark 0.05 document,
+// committed through the store with one materialized view registered, so
+// the commit hook maintains it. layer0 is view_user_query's view
+// (qualifier on its first layer), layer1 the same two layers swapped
+// (qualifier on its second), qualifier_free update_commit's view.
+// delta-share is the fraction of the ops the view absorbed by delta.
+func BenchmarkQualifiedViewCommit(b *testing.B) {
+	ctx := context.Background()
+	transform := func(op string) string {
+		return `transform copy $a := doc("d") modify do ` + op + ` return $a`
+	}
+	deleteU := func(i int) string { return transform("delete $a" + queries.U[i]) }
+	renameU1 := transform("rename $a" + queries.U[1] + " as member")
+	person := `$a/site/people/person[@id = "person3"]`
+	ops := []string{
+		transform("insert <bench_note/> into " + person),
+		transform("delete " + person + "/bench_note"),
+	}
+	for _, leg := range []struct {
+		name   string
+		layers []string
+	}{
+		{"layer0", []string{deleteU(9), renameU1}},
+		{"layer1", []string{renameU1, deleteU(9)}},
+		{"qualifier_free", []string{deleteU(5), renameU1}},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			st := NewStore(nil)
+			if _, _, err := st.Put(ctx, "d", benchDoc(b, 0.05)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := st.RegisterMaterializedView("v", leg.layers...); err != nil {
+				b.Fatal(err)
+			}
+			delta := func() int {
+				snap, err := st.Snapshot("d")
+				if err != nil {
+					b.Fatal(err)
+				}
+				_, stats, err := st.ViewAt(ctx, snap, "v")
+				if err != nil {
+					b.Fatal(err)
+				}
+				return stats.DeltaCommits
+			}
+			before := delta()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := st.Apply(ctx, "d", ops[i%2]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(delta()-before)/float64(b.N), "delta-share")
+		})
+	}
+}
+
 // BenchmarkNaiveQuadratic isolates the §7.1 claim that NAIVE degrades when
 // |$xp| grows with the document (U1) but stays linear when |$xp| is fixed
 // (U2).

@@ -330,11 +330,14 @@ func TestImageAcrossVersions(t *testing.T) {
 	}
 }
 
-// TestConcurrentViewReadsDuringCommits: four readers serve the maintained
-// view of whatever snapshot is current — cache hits, reads published
-// ahead of the commit hook (run by delta), and the read that builds the
-// view chain's image — while a writer commits note inserts and deletes.
-// Every body equals the sequential materialization at the version read.
+// TestConcurrentViewReadsDuringCommits: four readers serve three
+// maintained views of whatever snapshot is current — cache hits, reads
+// published ahead of the commit hook (run by delta), and the read that
+// builds the view chain's image — while a writer commits note inserts
+// and deletes and updates that flip the qualifiers of the two qualified
+// views: q0's on its first layer (item location) and q1's on its second
+// (bidder increase, read from the first layer's output). Every body
+// equals the sequential materialization at the version read.
 func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 	ctx := context.Background()
 	doc, err := xmark.Generate(xmark.Config{Factor: 0.002, Seed: 7})
@@ -349,13 +352,21 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 	transform := func(op string) string {
 		return `transform copy $a := doc("d") modify do ` + op + ` return $a`
 	}
-	v, err := st.RegisterView("v", transform("delete $a"+queries.U[5]), transform("rename $a"+queries.U[1]+" as member"))
-	if err != nil {
-		t.Fatal(err)
+	views := map[string][]string{
+		"v":  {transform("delete $a" + queries.U[5]), transform("rename $a" + queries.U[1] + " as member")},
+		"q0": {transform("delete $a" + queries.U[9]), transform("rename $a" + queries.U[1] + " as member")},
+		"q1": {transform("rename $a//open_auction as auction"), transform("delete $a//auction/bidder[increase > 10]")},
 	}
-	whole, err := v.Prepare(`for $x in /site return $x`)
-	if err != nil {
-		t.Fatal(err)
+	names := []string{"v", "q0", "q1"}
+	wholes := map[string]*PreparedView{}
+	for name, layers := range views {
+		v, err := st.RegisterView(name, layers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wholes[name], err = v.Prepare(`for $x in /site return $x`); err != nil {
+			t.Fatal(err)
+		}
 	}
 	body := func(n *tree.Node) (string, error) {
 		var b bytes.Buffer
@@ -365,14 +376,20 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 		}
 		return b.String(), sw.Flush()
 	}
-	var want sync.Map // version → the sequential materialization's bytes
+	type key struct {
+		view    string
+		version uint64
+	}
+	var want sync.Map // key → the sequential materialization's bytes
 	record := func(snap *Snapshot) {
-		seq, err := whole.EvalSequential(ctx, snap)
-		if err != nil {
-			t.Fatal(err)
+		for name, whole := range wholes {
+			seq, err := whole.EvalSequential(ctx, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := walked(t, seq)
+			want.Store(key{name, snap.Version()}, b[len("<result>"):len(b)-len("</result>")])
 		}
-		b := walked(t, seq)
-		want.Store(snap.Version(), b[len("<result>"):len(b)-len("</result>")])
 	}
 	record(snap)
 	first, _, err := st.ViewAt(ctx, snap, "v")
@@ -382,8 +399,8 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 	chain := tree.IndexOf(first)
 
 	type read struct {
-		version uint64
-		sum     [sha256.Size]byte
+		key
+		sum [sha256.Size]byte
 	}
 	reads := make([][]read, 4)
 	errs := make(chan error, len(reads))
@@ -393,14 +410,15 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for !stop.Load() {
+			for j := i; !stop.Load(); j++ {
+				name := names[j%len(names)]
 				snap, err := st.Snapshot("d")
 				if err == nil {
 					var res *tree.Node
-					if res, _, err = st.ViewAt(ctx, snap, "v"); err == nil {
+					if res, _, err = st.ViewAt(ctx, snap, name); err == nil {
 						var b string
 						if b, err = body(res); err == nil {
-							reads[i] = append(reads[i], read{snap.Version(), sha256.Sum256([]byte(b))})
+							reads[i] = append(reads[i], read{key{name, snap.Version()}, sha256.Sum256([]byte(b))})
 						}
 					}
 				}
@@ -412,12 +430,18 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 		}(i)
 	}
 	person := `$a/site/people/person[@id = "person3"]`
-	for k := 1; k <= 30; k++ {
-		op := "insert <bench_note/> into " + person
-		if k%2 == 0 {
-			op = "delete " + person + "/bench_note"
-		}
-		if snap, _, err = st.Apply(ctx, "d", transform(op)); err != nil {
+	item := `$a/site/regions//item[@id = "item0"]`
+	bidder := `$a/site/open_auctions/open_auction[@id = "open_auction0"]/bidder`
+	ops := []string{
+		"insert <bench_note/> into " + person,
+		"delete " + person + "/bench_note",
+		"replace " + item + "/location with <location>United States</location>",
+		"insert <increase>50</increase> into " + bidder,
+		"replace " + item + "/location with <location>Japan</location>",
+		"delete " + bidder + "/increase",
+	}
+	for k := 0; k < 30; k++ {
+		if snap, _, err = st.Apply(ctx, "d", transform(ops[k%len(ops)])); err != nil {
 			t.Fatal(err)
 		}
 		record(snap)
@@ -431,9 +455,9 @@ func TestConcurrentViewReadsDuringCommits(t *testing.T) {
 	n := 0
 	for _, rs := range reads {
 		for _, r := range rs {
-			b, ok := want.Load(r.version)
+			b, ok := want.Load(r.key)
 			if !ok || sha256.Sum256([]byte(b.(string))) != r.sum {
-				t.Fatalf("view read at version %d differs from the sequential materialization", r.version)
+				t.Fatalf("view %s read at version %d differs from the sequential materialization", r.view, r.version)
 			}
 			n++
 		}

@@ -148,8 +148,9 @@ func coverKey(su, sv StateSet) string {
 }
 
 // HasQualifiers reports whether any state of the NFA carries a
-// qualifier — the condition that rules out both the coverage analysis
-// above (on the view side) and the memoizing delta evaluator.
+// qualifier — the condition that rules out the coverage analysis above
+// on the view side, and that starts a new segment of compose's fused
+// stack evaluator at a layer above the first.
 func (m *NFA) HasQualifiers() bool {
 	for i := range m.States {
 		if len(m.States[i].Quals) > 0 {
@@ -157,32 +158,4 @@ func (m *NFA) HasQualifiers() bool {
 		}
 	}
 	return false
-}
-
-// AliveSet returns the states from which the final state is reachable
-// through label/ε transitions. For the chain automata New builds this
-// is every state — the construction never creates dead branches — but
-// the delta evaluator masks its state sets with it anyway, so that
-// "no alive state left" is the pruning condition rather than the
-// construction-specific "empty set".
-func (m *NFA) AliveSet() StateSet {
-	alive := m.NewSet()
-	alive.Add(m.Final)
-	// Transitions point to equal-or-higher IDs by construction, so one
-	// descending pass converges; loop to a fixpoint anyway in case the
-	// construction ever changes.
-	for changed := true; changed; {
-		changed = false
-		for id := len(m.States) - 1; id >= 0; id-- {
-			if alive.Has(id) {
-				continue
-			}
-			st := &m.States[id]
-			if (st.Next >= 0 && alive.Has(st.Next)) || (st.Eps >= 0 && alive.Has(st.Eps)) {
-				alive.Add(id)
-				changed = true
-			}
-		}
-	}
-	return alive
 }

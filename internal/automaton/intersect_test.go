@@ -74,17 +74,3 @@ func TestCoveredStateCap(t *testing.T) {
 		t.Error("cap of 1 product state should report ok=false")
 	}
 }
-
-func TestAliveSet(t *testing.T) {
-	// Chain automata never construct dead states: every state reaches
-	// the final state, including '//' self-loop states.
-	for _, expr := range []string{"/a", "//a/b", "/a//b/*//c"} {
-		m := mustNFA(t, expr)
-		alive := m.AliveSet()
-		for i := range m.States {
-			if !alive.Has(i) {
-				t.Errorf("%s: state %d not alive", expr, i)
-			}
-		}
-	}
-}

@@ -17,52 +17,56 @@ import (
 // commit, subtrees the update provably did not touch can reuse their
 // memoized images without being traversed again (EvalDelta).
 //
-// Stacks are restricted to qualifier-free layers. Qualifiers make a
-// node's fate depend on content outside its root path, which breaks
-// the "same subtree + same automaton states ⇒ same image" rule the
-// memo relies on; NewStack rejects them and callers fall back to full
-// recomposition (Plan.Materialize).
+// Fragment X qualifiers look only downward, so the memo's rule "same
+// subtree + same entering states ⇒ same image" holds with them; but a
+// qualifier of layer i > 0 reads layer i−1's output, which the fused
+// walk has not built when it enters a node. NewStack therefore starts a
+// new segment at every qualified layer above the first: a fused walk of
+// its own over the previous segment's output (one intermediate view),
+// with a memo of its own, whose first layer checks qualifiers on the
+// segment's input node (NFA.StepDirect).
 //
 // A Stack is immutable and safe for concurrent use; all evaluation
 // state lives in per-call values.
 type Stack struct {
-	layers []*core.Compiled
+	layers []*core.Compiled // this segment's layers
 	// empty holds one canonical empty state set per layer: the vector
 	// entries for layers that can no longer match (and for layers
 	// already applied when descending into a constant element).
-	empty []automaton.StateSet
+	empty  []automaton.StateSet
+	direct bool   // the segment's first layer has qualifiers
+	next   *Stack // the segment run over this one's output; nil for the last
 }
 
 // NewStack builds the fused evaluator for a transform stack. It fails
-// with a Compile error when the stack is empty or any layer's
-// selection path carries qualifiers.
+// with a Compile error when the stack is empty or a layer is nil.
 func NewStack(layers []*core.Compiled) (*Stack, error) {
 	if len(layers) == 0 {
 		return nil, xerr.New(xerr.Compile, "", "compose: view stack is empty")
 	}
-	s := &Stack{
-		layers: append([]*core.Compiled(nil), layers...),
-		empty:  make([]automaton.StateSet, len(layers)),
-	}
-	for i, l := range layers {
-		if l == nil {
+	var next *Stack
+	end := len(layers)
+	for i := end - 1; i >= 0; i-- {
+		if layers[i] == nil {
 			return nil, xerr.New(xerr.Compile, "", "compose: nil transform at layer %d", i)
 		}
-		if l.NFA.HasQualifiers() {
-			return nil, xerr.New(xerr.Compile, "",
-				"compose: layer %d has qualifiers; delta maintenance needs qualifier-free paths", i)
+		direct := layers[i].NFA.HasQualifiers()
+		if i > 0 && !direct {
+			continue
 		}
-		s.empty[i] = l.NFA.NewSet()
+		seg := &Stack{
+			layers: append([]*core.Compiled(nil), layers[i:end]...),
+			empty:  make([]automaton.StateSet, end-i),
+			direct: direct,
+			next:   next,
+		}
+		for j, l := range seg.layers {
+			seg.empty[j] = l.NFA.NewSet()
+		}
+		next, end = seg, i
 	}
-	return s, nil
+	return next, nil
 }
-
-// NumLayers returns the number of transform layers.
-func (s *Stack) NumLayers() int { return len(s.layers) }
-
-// Layer returns the compiled transform of layer i. Treat it as
-// read-only.
-func (s *Stack) Layer(i int) *core.Compiled { return s.layers[i] }
 
 // Memo is the per-evaluation memo of a Stack run: for every element
 // the traversal visited, the per-layer automaton state vector in force
@@ -73,21 +77,23 @@ func (s *Stack) Layer(i int) *core.Compiled { return s.layers[i] }
 // bridge (see store.CommitEvent.Bridge) is what carries keys from one
 // version to the next.
 type Memo struct {
-	s *Stack // the stack whose run built the memo
-	m map[*tree.Node]*memoEntry
+	s    *Stack // the segment whose run built the memo
+	m    map[*tree.Node]*memoEntry
+	next *Memo // the next segment's memo, keyed by this one's output
 }
 
 type memoEntry struct {
 	states []automaton.StateSet // per-layer sets entered at the node
-	image  *tree.Node           // image in the final view; nil = deleted
+	image  *tree.Node           // image in the segment's output; nil = deleted
 }
 
-// Len reports the number of memoized elements.
+// Len reports the number of memoized elements, over every segment.
 func (m *Memo) Len() int {
-	if m == nil {
-		return 0
+	n := 0
+	for ; m != nil; m = m.next {
+		n += len(m.m)
 	}
-	return len(m.m)
+	return n
 }
 
 // stackRun is the per-evaluation state of a Stack traversal.
@@ -99,10 +105,9 @@ type stackRun struct {
 	// bad is set when the delta walk finds newDoc and bridge out of
 	// shape — a defensive bail-out; the caller falls back to a full
 	// recomposition.
-	bad   bool
-	stats ViewStats
-	// reused counts memo hits (subtrees spliced without traversal).
-	reused int
+	bad    bool
+	stats  *ViewStats // the work of every segment so far
+	layers []Stats    // this segment's part of stats.Layers
 }
 
 // Eval evaluates the stack over doc — a document node — and returns
@@ -141,23 +146,52 @@ func (s *Stack) EvalDelta(ctx context.Context, newDoc, bridge *tree.Node, oldMem
 	return view, memo, stats, true, nil
 }
 
+// run evaluates the segments in order: each runs over the previous
+// one's output, which in a delta run is its own bridge, because every
+// image a segment spliced is a node of its previous output.
 func (s *Stack) run(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo) (*tree.Node, *Memo, ViewStats, error) {
+	var (
+		stats ViewStats
+		first *Memo
+		link  = &first
+	)
+	for seg := s; seg != nil; seg = seg.next {
+		out, memo, err := seg.runSegment(ctx, doc, bridge, oldMemo, &stats)
+		if out == nil || err != nil {
+			return nil, nil, stats, err
+		}
+		*link, link = memo, &memo.next
+		if oldMemo != nil {
+			bridge, oldMemo = out, oldMemo.next
+		}
+		doc = out
+	}
+	return doc, first, stats, nil
+}
+
+// runSegment evaluates segment s over doc, adding its work to stats
+// and appending its layers to stats.Layers. A nil result without an
+// error means doc and bridge are out of shape.
+func (s *Stack) runSegment(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo, stats *ViewStats) (*tree.Node, *Memo, error) {
 	if ctx != nil && ctx.Err() != nil {
-		return nil, nil, ViewStats{}, xerr.Wrap(xerr.Eval, ctx.Err())
+		return nil, nil, xerr.Wrap(xerr.Eval, ctx.Err())
 	}
+	off := len(stats.Layers)
+	stats.Layers = append(stats.Layers, make([]Stats, len(s.layers))...)
 	r := &stackRun{
-		s:    s,
-		can:  core.NewCanceler(ctx),
-		memo: &Memo{s: s, m: make(map[*tree.Node]*memoEntry)},
-		old:  oldMemo,
+		s:      s,
+		can:    core.NewCanceler(ctx),
+		memo:   &Memo{s: s, m: make(map[*tree.Node]*memoEntry)},
+		old:    oldMemo,
+		stats:  stats,
+		layers: stats.Layers[off:],
 	}
-	r.stats.Layers = make([]Stats, len(s.layers))
 	init := make([]automaton.StateSet, len(s.layers))
 	for i, l := range s.layers {
 		init[i] = l.NFA.InitialSet()
 	}
 	if bridge != nil && (bridge.Kind != doc.Kind || len(bridge.Children) != len(doc.Children)) {
-		return nil, nil, r.stats, nil
+		return nil, nil, nil
 	}
 	result := tree.NewDocument(nil)
 	changed := false
@@ -172,7 +206,7 @@ func (s *Stack) run(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo) 
 		}
 		out := r.eval(ch, bch, init, true)
 		if r.bad {
-			return nil, nil, r.stats, nil
+			return nil, nil, nil
 		}
 		if out == nil {
 			changed = true
@@ -184,13 +218,12 @@ func (s *Stack) run(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo) 
 		result.Children = append(result.Children, out)
 	}
 	if err := r.can.Err(); err != nil {
-		return nil, nil, r.stats, err
+		return nil, nil, err
 	}
 	if !changed {
 		result = doc // identity: share the document node like topDown
 	}
-	r.stats.ReusedSubtrees = r.reused
-	return result, r.memo, r.stats, nil
+	return result, r.memo, nil
 }
 
 // eval applies layers to element n, whose label has not been consumed
@@ -199,7 +232,7 @@ func (s *Stack) run(ctx context.Context, doc, bridge *tree.Node, oldMemo *Memo) 
 // outside delta runs and inside constants), memoize records the node
 // in the run's memo (false inside constant elements, whose nodes are
 // shared across evaluations and never looked up again). It returns
-// n's image in the final view, nil when a layer deletes it.
+// n's image in the segment's output, nil when a layer deletes it.
 func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bool) *tree.Node {
 	if r.bad || r.can.Stopped() {
 		return n
@@ -213,10 +246,8 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 	}
 	if dead {
 		// No layer can match at or below n: the subtree passes through
-		// the whole stack unchanged.
-		if memoize {
-			r.memo.m[n] = &memoEntry{states: states, image: n}
-		}
+		// the whole stack unchanged. It is not memoized: the memo is
+		// only consulted with a live vector, which never equals this one.
 		return n
 	}
 	if b != nil {
@@ -226,7 +257,7 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 			// is byte-identical to the one e.image was computed over,
 			// and the automata arrive in the same states: splice the
 			// old image without descending.
-			r.reused++
+			r.stats.ReusedSubtrees++
 			if memoize {
 				r.memo.m[n] = &memoEntry{states: states, image: e.image}
 			}
@@ -246,8 +277,15 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 			entered[i] = in
 			continue
 		}
-		r.stats.Layers[i].NodesVisited++
-		out := l.NFA.Step(in, label, nil)
+		r.layers[i].NodesVisited++
+		var out automaton.StateSet
+		if i == 0 && r.s.direct {
+			// The segment's first layer reads its own input: label is
+			// still n's, and the qualifiers see n's subtree.
+			out = l.NFA.StepDirect(in, n)
+		} else {
+			out = l.NFA.Step(in, label, nil)
+		}
 		entered[i] = out
 		if !l.NFA.Matches(out) {
 			continue
@@ -358,7 +396,7 @@ func (r *stackRun) evalConst(c *tree.Node, owner int, states []automaton.StateSe
 	}
 	img := r.eval(c, nil, restricted, false)
 	if img != nil {
-		r.stats.Layers[owner].Materialized += img.Size()
+		r.layers[owner].Materialized += img.Size()
 	}
 	return img
 }

@@ -11,16 +11,8 @@ import (
 	"xtq/internal/xpath"
 )
 
-// qualFreeConfig is the XMark vocabulary without qualifiers or
-// attribute steps — the fragment the Stack evaluator accepts.
-func qualFreeConfig() xpath.GenConfig {
-	cfg := xmarkGenConfig()
-	cfg.Attrs = nil
-	cfg.MaxQual = 0
-	return cfg
-}
-
-// randomStack draws a qualifier-free stack of the given depth.
+// randomStack draws a stack of the given depth, with qualifiers on any
+// layer.
 func randomStack(t *testing.T, rng *rand.Rand, cfg xpath.GenConfig, depth int) (*Stack, []*core.Compiled) {
 	t.Helper()
 	layers := make([]*core.Compiled, 0, depth)
@@ -36,6 +28,17 @@ func randomStack(t *testing.T, rng *rand.Rand, cfg xpath.GenConfig, depth int) (
 		t.Fatalf("NewStack: %v", err)
 	}
 	return s, layers
+}
+
+// qualifiedAbove0 reports whether a layer above the first has
+// qualifiers, which makes the stack run in more than one segment.
+func qualifiedAbove0(layers []*core.Compiled) bool {
+	for _, l := range layers[1:] {
+		if l.NFA.HasQualifiers() {
+			return true
+		}
+	}
+	return false
 }
 
 // materializeOracle applies the stack sequentially with the
@@ -55,9 +58,11 @@ func materializeOracle(t *testing.T, layers []*core.Compiled, doc *tree.Node) *t
 }
 
 // Property: the fused Stack evaluator agrees with sequential
-// materialization on random XMark documents and qualifier-free stacks.
+// materialization on random XMark documents and stacks whose layers
+// carry qualifiers and attribute tests at any depth.
 func TestQuickStackEvalMatchesOracle(t *testing.T) {
-	cfg := qualFreeConfig()
+	cfg := xmarkGenConfig()
+	segmented := 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(4000 + seed))
 		doc, err := xmark.Generate(xmark.Config{
@@ -68,6 +73,9 @@ func TestQuickStackEvalMatchesOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, layers := randomStack(t, rng, cfg, 1+rng.Intn(3))
+		if qualifiedAbove0(layers) {
+			segmented++
+		}
 		got, memo, _, err := s.Eval(context.Background(), doc)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -84,15 +92,19 @@ func TestQuickStackEvalMatchesOracle(t *testing.T) {
 			t.Fatalf("seed %d: empty memo", seed)
 		}
 	}
+	if segmented == 0 {
+		t.Error("no stack had a qualified layer above the first")
+	}
 }
 
 // Property: delta re-evaluation through the snapshot-adoption bridge is
 // byte-identical to full recomposition at every version of a random
 // update sequence, exactly as the store produces them (topDown output
-// adopted via Freeze).
+// adopted via Freeze), with qualifiers on any layer and updates that
+// may flip them.
 func TestQuickStackEvalDeltaMatchesOracle(t *testing.T) {
-	cfg := qualFreeConfig()
-	totalReused := 0
+	cfg := xmarkGenConfig()
+	totalReused, segmented := 0, 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(7000 + seed))
 		gen, err := xmark.Generate(xmark.Config{
@@ -104,6 +116,9 @@ func TestQuickStackEvalDeltaMatchesOracle(t *testing.T) {
 		}
 		cur, curIx, _ := tree.Freeze(gen, nil)
 		s, layers := randomStack(t, rng, cfg, 1+rng.Intn(3))
+		if qualifiedAbove0(layers) {
+			segmented++
+		}
 		_, memo, _, err := s.Eval(context.Background(), cur)
 		if err != nil {
 			t.Fatalf("seed %d: initial eval: %v", seed, err)
@@ -145,19 +160,53 @@ func TestQuickStackEvalDeltaMatchesOracle(t *testing.T) {
 	if totalReused == 0 {
 		t.Error("delta path never reused a memoized subtree across the whole property run")
 	}
+	if segmented == 0 {
+		t.Error("no stack had a qualified layer above the first")
+	}
 }
 
-func TestNewStackRejectsQualifiers(t *testing.T) {
-	c, err := core.MustParseQuery(
+// TestNewStackValidation: qualified layers are accepted at any depth,
+// each qualified layer above the first starting a segment; an empty
+// stack and a nil layer are rejected.
+func TestNewStackValidation(t *testing.T) {
+	qualified, err := core.MustParseQuery(
 		`transform copy $a := doc("T") modify do delete $a/site/people/person[age = "1"] return $a`).Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewStack([]*core.Compiled{c}); err == nil {
-		t.Error("NewStack accepted a qualified layer")
+	plain, err := core.MustParseQuery(
+		`transform copy $a := doc("T") modify do rename $a//person as member return $a`).Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		layers   []*core.Compiled
+		segments int
+	}{
+		{[]*core.Compiled{qualified}, 1},
+		{[]*core.Compiled{qualified, plain}, 1},
+		{[]*core.Compiled{plain, qualified}, 2},
+		{[]*core.Compiled{plain, qualified, plain, qualified}, 3},
+	} {
+		s, err := NewStack(c.layers)
+		if err != nil {
+			t.Fatalf("NewStack rejected a qualified stack: %v", err)
+		}
+		segments, layers := 0, 0
+		for ; s != nil; s = s.next {
+			segments++
+			layers += len(s.layers)
+		}
+		if segments != c.segments || layers != len(c.layers) {
+			t.Errorf("%d layers ran in %d segments of %d layers, want %d segments",
+				len(c.layers), segments, layers, c.segments)
+		}
 	}
 	if _, err := NewStack(nil); err == nil {
 		t.Error("NewStack accepted an empty stack")
+	}
+	if _, err := NewStack([]*core.Compiled{plain, nil}); err == nil {
+		t.Error("NewStack accepted a nil layer")
 	}
 }
 

@@ -88,12 +88,6 @@ type ViewStats struct {
 	// ReusedSubtrees counts memoized subtree images a Stack delta run
 	// spliced into the result without traversal (zero on full runs).
 	ReusedSubtrees int
-	// DeltaCommits and FullCommits count, cumulatively per maintained
-	// materialization, how many commits were absorbed by the delta
-	// path versus full recomposition. They are filled in by the ivm
-	// maintenance layer, not by single evaluations.
-	DeltaCommits int
-	FullCommits  int
 }
 
 // NewPlan builds the composition of a transform stack and a user query.

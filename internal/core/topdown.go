@@ -65,15 +65,26 @@ type tdRun struct {
 	b     *automaton.Binding
 	check QualChecker
 	can   *Canceler
-	sets  []automaton.StateSet // successor-set scratch, one per depth
-	open  bool                 // emitNode: a start tag awaits its '>'
+	// sets is the successor-set scratch: the words of depth d's set are
+	// sets[d*words : (d+1)*words].
+	sets  []uint64
+	words int
+	open  bool // emitNode: a start tag awaits its '>'
 }
 
+// setDepth is the number of depths the first scratch block holds.
+const setDepth = 32
+
+// setAt returns the successor-set scratch of depth; its contents are
+// garbage (StepInto clears it).
 func (r *tdRun) setAt(depth int) automaton.StateSet {
-	for len(r.sets) <= depth {
-		r.sets = append(r.sets, r.b.M.NewSet())
+	lo := depth * r.words
+	if lo+r.words > len(r.sets) {
+		// Grow into a fresh block without copying: the ancestors on the
+		// walk's path still hold their sets in the old one.
+		r.sets = make([]uint64, max(2*len(r.sets), lo+r.words, setDepth*r.words))
 	}
-	return r.sets[depth]
+	return r.sets[lo : lo+r.words : lo+r.words]
 }
 
 // visit is topDown's decision at element n, which the traversal entered
@@ -247,6 +258,7 @@ func newTDRun(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecke
 		b:     c.NFA.Bind(idx.Syms),
 		check: check,
 		can:   NewCanceler(ctx),
+		words: (len(c.NFA.States) + 63) / 64,
 	}
 }
 

@@ -24,7 +24,8 @@ type Stats struct {
 	// materialization, "delta" when it was evaluated off the maintained
 	// version against the entry's memo (splicing every subtree the
 	// snapshot shares with the memo's version), and "recompute" when it
-	// was materialized in full: a first read, or a qualified stack.
+	// was materialized in full: a first read, or the first read after a
+	// redefinition.
 	Source   string `json:"source"`
 	CacheHit bool   `json:"cacheHit"`
 	// Commit-path counters of the cache entry: how many commits were
@@ -48,9 +49,7 @@ type viewDef struct {
 	name   string
 	key    string // canonical layer renderings joined with \x1f
 	layers []*core.Compiled
-	// stack is the fused evaluator; nil when a layer has qualifiers
-	// (maintenance then always recomposes sequentially).
-	stack *compose.Stack
+	stack  *compose.Stack // the fused evaluator of layers
 	// eager views are materialized on every affecting commit; lazy ones
 	// only once read.
 	eager bool
@@ -88,24 +87,22 @@ type matEntry struct {
 // commit hook (OnCommit) and by the facade's view registry
 // (SetView/RemoveView); all methods are safe for concurrent use.
 type Manager struct {
-	method core.Method
-	cache  VerdictCache
+	cache VerdictCache
 
 	mu    sync.Mutex
 	views map[string]*viewDef
 	mats  map[string]*matEntry // doc + "\x00" + view
 }
 
-// NewManager returns a manager evaluating qualified stacks with the
-// given method, resolved to a concrete one (core.Resolve). cache, when
-// non-nil, memoizes impact verdicts across commits (keyed by canonical
-// view and update renderings).
-func NewManager(method core.Method, cache VerdictCache) *Manager {
+// NewManager returns a manager. Every view is evaluated by its fused
+// compose.Stack, so the method is unused. cache, when non-nil, memoizes
+// impact verdicts across commits (keyed by canonical view and update
+// renderings).
+func NewManager(_ core.Method, cache VerdictCache) *Manager {
 	return &Manager{
-		method: core.Resolve(method),
-		cache:  cache,
-		views:  make(map[string]*viewDef),
-		mats:   make(map[string]*matEntry),
+		cache: cache,
+		views: make(map[string]*viewDef),
+		mats:  make(map[string]*matEntry),
 	}
 }
 
@@ -113,16 +110,19 @@ func matKey(doc, view string) string { return doc + "\x00" + view }
 
 // SetView registers (or redefines) a view and atomically drops every
 // materialization recorded under its name — callers publish the
-// registry change event while holding no manager state.
+// registry change event while holding no manager state. layers must be
+// a non-empty stack with no nil layer, as Engine.View builds them;
+// SetView panics otherwise.
 func (m *Manager) SetView(name string, layers []*core.Compiled, eager bool) {
+	stack, err := compose.NewStack(layers)
+	if err != nil {
+		panic(err)
+	}
 	keys := make([]string, len(layers))
 	for i, l := range layers {
 		keys[i] = l.Query.String()
 	}
-	def := &viewDef{name: name, key: strings.Join(keys, "\x1f"), layers: layers, eager: eager}
-	if s, err := compose.NewStack(layers); err == nil {
-		def.stack = s
-	}
+	def := &viewDef{name: name, key: strings.Join(keys, "\x1f"), layers: layers, stack: stack, eager: eager}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.views[name] = def
@@ -159,14 +159,6 @@ func (m *Manager) ViewNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// HasView reports whether name is registered.
-func (m *Manager) HasView(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.views[name]
-	return ok
 }
 
 // DropDoc discards every materialization of the named document.
@@ -295,7 +287,7 @@ func (m *Manager) OnCommit(ev store.CommitEvent) []string {
 			e.mu.Unlock()
 			continue
 		}
-		canDelta := def.stack != nil && ev.Bridge != nil && e.memo != nil &&
+		canDelta := ev.Bridge != nil && e.memo != nil &&
 			e.version == ev.Prev && e.memoVersion == ev.Prev
 		maintained := false
 		if canDelta {
@@ -314,13 +306,15 @@ func (m *Manager) OnCommit(ev store.CommitEvent) []string {
 			}
 		}
 		if !maintained {
-			if err := m.fullLocked(e, def, ev.Snap); err != nil {
+			out, memo, stats, err := def.stack.Eval(context.Background(), ev.Snap.Root())
+			if err != nil {
 				// Evaluation failed (cancelled or depth-bounded): drop the
 				// entry rather than serve a stale tree as current.
 				m.mu.Lock()
 				delete(m.mats, matKey(ev.Name, def.name))
 				m.mu.Unlock()
 			} else {
+				e.installFull(ev.Version, out, memo, stats)
 				mMaintained.With("full").Inc()
 				if v == VerdictUnknown {
 					e.unknown++
@@ -332,59 +326,27 @@ func (m *Manager) OnCommit(ev store.CommitEvent) []string {
 	return affected
 }
 
-// fullLocked recomputes e's materialization at snap (e.mu held).
-func (m *Manager) fullLocked(e *matEntry, def *viewDef, snap *store.Snapshot) error {
-	out, memo, stats, err := m.materialize(context.Background(), def, snap.Root())
-	if err != nil {
-		return err
-	}
-	e.installFull(snap.Version(), out, memo, stats)
-	return nil
-}
-
 // installFull makes out — a materialization that shares no unstamped
 // node with any other tree — e's tree at version, stamped in place as a
 // chain of its own (e.mu held).
 func (e *matEntry) installFull(version uint64, out *tree.Node, memo *compose.Memo, stats compose.ViewStats) {
 	e.tree, e.memo = out, memo
 	e.chain = tree.StampChain(out)
-	e.version = version
-	if memo != nil {
-		e.memoVersion = version
-	} else {
-		e.memoVersion = 0
-	}
+	e.version, e.memoVersion = version, version
 	e.fullCommits++
 	e.lastStats = stats
 }
 
-// materialize evaluates the full stack over root: the fused evaluator
-// (with memo) for qualifier-free stacks, sequential per-layer
-// evaluation with the manager's method otherwise.
-func (m *Manager) materialize(ctx context.Context, def *viewDef, root *tree.Node) (*tree.Node, *compose.Memo, compose.ViewStats, error) {
-	if def.stack != nil {
-		return def.stack.Eval(ctx, root)
-	}
-	cur := root
-	for _, l := range def.layers {
-		var err error
-		if cur, err = l.EvalContext(ctx, cur, m.method); err != nil {
-			return nil, nil, compose.ViewStats{}, err
-		}
-	}
-	return cur, nil, compose.ViewStats{}, nil
-}
-
 // Get serves the materialization of view over snap. A read at the
-// maintained version is a cache hit. Any other read of a qualifier-free
-// stack runs by delta against the entry's memo, with the snapshot as
-// its own bridge: memo keys are immutable snapshot nodes, so every
-// subtree snap shares with the memo's version is spliced, whether snap
-// is older (time travel, served without caching) or newer (published
-// before the commit hook ran, installed so later reads hit). Only the
-// first read and qualified stacks, which keep no memo, materialize in
-// full; a full materialization that is installed is stamped in place as
-// a chain of its own.
+// maintained version is a cache hit. Any other read runs by delta
+// against the entry's memo, with the snapshot as its own bridge: memo
+// keys are immutable snapshot nodes, so every subtree snap shares with
+// the memo's version is spliced, whether snap is older (time travel,
+// served without caching) or newer (published before the commit hook
+// ran, installed so later reads hit). Only a read with no entry to run
+// against (the first, or the first after a redefinition) materializes
+// in full; a full materialization that is installed is stamped in place
+// as a chain of its own.
 func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*tree.Node, Stats, error) {
 	m.mu.Lock()
 	def := m.views[view]
@@ -414,11 +376,11 @@ func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*
 		delta bool
 		err   error
 	)
-	if memo != nil && def.stack != nil {
+	if memo != nil {
 		out, next, vs, delta, err = def.stack.EvalDelta(ctx, snap.Root(), snap.Root(), memo)
 	}
 	if err == nil && !delta {
-		out, next, vs, err = m.materialize(ctx, def, snap.Root())
+		out, next, vs, err = def.stack.Eval(ctx, snap.Root())
 	}
 	if err != nil {
 		return nil, st, err

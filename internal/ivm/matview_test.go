@@ -188,13 +188,15 @@ func TestManagerDeltaMaintenance(t *testing.T) {
 	}
 }
 
+// TestManagerQualifiedViewMaintained: a qualified first layer makes the
+// verdict unknown, and the commit is maintained by delta like any other.
 func TestManagerQualifiedViewMaintained(t *testing.T) {
 	mgr := NewManager(core.MethodTopDown, nil)
 	layers := []*core.Compiled{compileUpdate(t, q(`delete $a/site/people/person[age = "30"]`))}
 	mgr.SetView("adults", layers, true)
 	st, affected := hookStore(mgr)
 	mustPut(t, st, "T", siteDoc())
-	snap := mustApply(t, st, "T", q(`insert <person><age>30</age></person> into $a/site/people`))
+	snap := mustApply(t, st, "T", q(`insert <person><age>31</age></person> into $a/site/people`))
 	if got := (*affected)[len(*affected)-1]; len(got) != 1 {
 		t.Fatalf("qualified view should be affected/unknown: %v", got)
 	}
@@ -202,7 +204,7 @@ func TestManagerQualifiedViewMaintained(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Source != "cache" || s.UnknownCommits != 1 || s.DeltaCommits != 0 {
+	if s.Source != "cache" || s.UnknownCommits != 1 || s.DeltaCommits != 1 {
 		t.Fatalf("qualified maintenance: %+v", s)
 	}
 	if !tree.Equal(out, oracle(t, layers, snap.Root())) {
@@ -267,7 +269,7 @@ func TestManagerRemoveAndViewRegistry(t *testing.T) {
 	if !mgr.RemoveView("v1") || mgr.RemoveView("v1") {
 		t.Fatal("RemoveView")
 	}
-	if mgr.HasView("v1") || !mgr.HasView("v2") {
+	if names := mgr.ViewNames(); len(names) != 1 || names[0] != "v2" {
 		t.Fatal("registry state")
 	}
 }
@@ -298,10 +300,14 @@ func TestManagerSetViewInvalidates(t *testing.T) {
 
 // Property: an eagerly maintained materialization is byte-identical to
 // full recomposition at every version of a random XMark update
-// sequence, across delta, full-fallback and unaffected paths.
+// sequence, across delta, full-fallback and unaffected paths, with
+// qualifiers on any view layer.
 func TestQuickManagerMatchesOracle(t *testing.T) {
 	cfg := xmarkCfg()
-	totals := struct{ delta, full, unaffected int }{}
+	viewCfg := cfg
+	viewCfg.Attrs = []string{"id", "category"}
+	viewCfg.MaxQual = 2
+	totals := struct{ delta, full, unaffected, segmented int }{}
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(11000 + seed))
 		doc, err := xmark.Generate(xmark.Config{
@@ -315,9 +321,15 @@ func TestQuickManagerMatchesOracle(t *testing.T) {
 		depth := 1 + rng.Intn(3)
 		layers := make([]*core.Compiled, 0, depth)
 		for len(layers) < depth {
-			c, err := (&core.Query{Var: "a", Doc: "gen", Update: randomUpdate(rng, cfg)}).Compile()
+			c, err := (&core.Query{Var: "a", Doc: "gen", Update: randomUpdate(rng, viewCfg)}).Compile()
 			if err == nil {
 				layers = append(layers, c)
+			}
+		}
+		for _, l := range layers[1:] {
+			if l.NFA.HasQualifiers() {
+				totals.segmented++
+				break
 			}
 		}
 		mgr.SetView("v", layers, true)
@@ -354,6 +366,9 @@ func TestQuickManagerMatchesOracle(t *testing.T) {
 	}
 	if totals.unaffected == 0 {
 		t.Error("property run never proved a commit unaffected")
+	}
+	if totals.segmented == 0 {
+		t.Error("no view had a qualified layer above the first")
 	}
 }
 

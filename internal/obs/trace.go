@@ -72,8 +72,9 @@ type ViewTrace struct {
 	Version uint64 `json:"version"`
 	// Source is "cache" when the read was served from a current
 	// materialization, "delta" when it was evaluated off the maintained
-	// version against the cached one, "recompute" when it was
-	// materialized in full.
+	// version against the cached one (qualified views included), and
+	// "recompute" when it was materialized in full: a first read, or the
+	// first after a redefinition.
 	Source   string `json:"source"`
 	CacheHit bool   `json:"cacheHit"`
 	// Commit-path counters of the cache entry.

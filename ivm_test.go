@@ -14,8 +14,9 @@ import (
 
 // facadeUpdates is the pool the property test draws from: a mix of
 // updates that are provably absorbed by the views below (inserts into
-// view-deleted regions), updates that force delta maintenance, and
-// updates that select nothing (no-op commits).
+// view-deleted regions), updates that force delta maintenance, updates
+// that flip the qualified views' qualifiers (item locations, bidder
+// increases) and updates that select nothing (no-op commits).
 var facadeUpdates = []string{
 	`transform copy $a := doc("auc") modify do insert <interest category="c"/> into $a//profile return $a`,
 	`transform copy $a := doc("auc") modify do insert <note>n</note> into $a//annotation return $a`,
@@ -25,12 +26,17 @@ var facadeUpdates = []string{
 	`transform copy $a := doc("auc") modify do delete $a//listitem return $a`,
 	`transform copy $a := doc("auc") modify do rename $a/site/regions as zones return $a`,
 	`transform copy $a := doc("auc") modify do insert <mark/> into $a/site/regions return $a`,
+	`transform copy $a := doc("auc") modify do replace $a/site/regions/europe/item/location with <location>United States</location> return $a`,
+	`transform copy $a := doc("auc") modify do insert <increase>50</increase> into $a//open_auction/bidder return $a`,
+	`transform copy $a := doc("auc") modify do delete $a//bidder/increase return $a`,
 }
 
 // TestQuickFacadeViewsMatchOracle drives random XMark update sequences
 // against a store with a lazy two-layer view, an eager three-layer
-// materialized view and a lazy view whose layers insert and replace
-// constants, and checks after every commit — and from eight concurrent
+// materialized view, a lazy view whose layers insert and replace
+// constants, an eager view qualified on its first layer and a lazy one
+// qualified on its second, whose qualifier reads the first layer's
+// output, and checks after every commit — and from eight concurrent
 // racing readers — that what the maintained cache serves is
 // byte-identical to a from-scratch recomposition of the same snapshot.
 // Afterwards no view links a node of a layer's Query.Update.Elem: a
@@ -39,6 +45,7 @@ var facadeUpdates = []string{
 func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 	ctx := context.Background()
 	var totalDelta, totalUnaffected int
+	qualifiedDelta := map[string]int{}
 
 	for seed := int64(1); seed <= 4; seed++ {
 		st := xtq.NewStore(nil)
@@ -73,7 +80,22 @@ func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracles := map[string]*xtq.View{"public": lazy, "feed": eager, "flagged": constants}
+		located, err := st.RegisterMaterializedView("located",
+			`transform copy $a := doc("x") modify do delete $a/site/regions//item[location = "United States"] return $a`,
+			`transform copy $a := doc("x") modify do rename $a/site/people/person as member return $a`,
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bids, err := st.RegisterView("bids",
+			`transform copy $a := doc("x") modify do rename $a//open_auction as auction return $a`,
+			`transform copy $a := doc("x") modify do delete $a//auction/bidder[increase > 10] return $a`,
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracles := map[string]*xtq.View{"public": lazy, "feed": eager, "flagged": constants,
+			"located": located, "bids": bids}
 
 		// check compares the maintained read against the oracle on snap.
 		check := func(snap *xtq.Snapshot) error {
@@ -171,6 +193,11 @@ func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 			totalDelta += stats.DeltaCommits
 			totalUnaffected += stats.UnaffectedCommits
 		}
+		for _, name := range []string{"located", "bids"} {
+			if _, stats, err := st.ViewAt(ctx, snap, name); err == nil {
+				qualifiedDelta[name] += stats.DeltaCommits
+			}
+		}
 	}
 
 	// The pool must have exercised both fast paths somewhere across the
@@ -180,5 +207,10 @@ func TestQuickFacadeViewsMatchOracle(t *testing.T) {
 	}
 	if totalUnaffected == 0 {
 		t.Error("no commit was proved unaffected")
+	}
+	for _, name := range []string{"located", "bids"} {
+		if qualifiedDelta[name] == 0 {
+			t.Errorf("no commit to the qualified view %s was delta-maintained", name)
+		}
 	}
 }

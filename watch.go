@@ -84,13 +84,13 @@ func (s *Store) WatchFrom(name string, from uint64) *Subscription {
 // ViewAt serves the materialization of a registered view over snap,
 // maintained incrementally across commits: a read of the maintained
 // version (the current snapshot, once materialized) returns the cached
-// tree (stats.Source == "cache"). Any other read of a qualifier-free
-// view runs by delta against the cached materialization, splicing every
-// subtree snap shares with it (stats.Source == "delta"): a time-travel
-// read at any version SnapshotAt can serve leaves the cache as it was,
-// and a read of a version the commit hook has not maintained yet
-// installs it. A first read, or a view with qualifiers, evaluates in
-// full ("recompute"). The returned tree is immutable; serialize it, do
+// tree (stats.Source == "cache"). Any other read runs by delta against
+// the cached materialization, splicing every subtree snap shares with
+// it (stats.Source == "delta"), qualifiers or not: a time-travel read at
+// any version SnapshotAt can serve leaves the cache as it was, and a
+// read of a version the commit hook has not maintained yet installs it.
+// Only a first read (also after a redefinition) evaluates in full
+// ("recompute"). The returned tree is immutable; serialize it, do
 // not index it.
 func (s *Store) ViewAt(ctx context.Context, snap *Snapshot, view string) (*Node, MatViewStats, error) {
 	out, stats, err := s.mgr.Get(ctx, snap, view)
