@@ -237,19 +237,32 @@ func BenchmarkViewStacks(b *testing.B) {
 // benchmark's view_user_query workload: each of its twelve user queries
 // composed with the two-layer security view on XMark 0.05, one
 // sub-benchmark per query. Allocations per query follow the result size,
-// not the number of nodes visited.
+// not the number of nodes visited. Each query runs over the plain tree
+// and, as <name>_masked, over a store snapshot whose chain has its
+// subtree label masks built, as xtqd's second composed read of a
+// document leaves it.
 func BenchmarkComposedUserQueries(b *testing.B) {
 	doc := benchDoc(b, 0.05)
 	ctx := context.Background()
+	snap, _, err := NewStore(nil).Put(ctx, "d", doc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap.Index().BuildMasks()
 	for i, pv := range prepareSecurityView(b) {
-		b.Run(securityViewQueries[i].name, func(b *testing.B) {
-			b.ReportAllocs()
-			for n := 0; n < b.N; n++ {
-				if _, _, err := pv.Eval(ctx, doc); err != nil {
-					b.Fatal(err)
+		for _, leg := range []struct {
+			suffix string
+			src    Source
+		}{{"", doc}, {"_masked", snap}} {
+			b.Run(securityViewQueries[i].name+leg.suffix, func(b *testing.B) {
+				b.ReportAllocs()
+				for n := 0; n < b.N; n++ {
+					if _, _, err := pv.Eval(ctx, leg.src); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -422,7 +422,9 @@ func TestStreamMatchesTreeWithImage(t *testing.T) {
 // read of its base chain. The first GET walks, the second builds the
 // chain's image (one more xtq_store_image_builds_total) and the third
 // builds nothing; all three answer the same bytes. Composed ?q= reads
-// build no image, however often a document is read.
+// build no image, however often a document is read: the second builds
+// the chain's label masks (one xtq_store_mask_builds_total), and no
+// later one builds anything.
 func TestMaintainedViewReadBuildsImage(t *testing.T) {
 	ts := newTestServer(t)
 	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
@@ -462,10 +464,18 @@ func TestMaintainedViewReadBuildsImage(t *testing.T) {
 		}
 	}
 	q := url.QueryEscape(`for $x in /site/people/member[@id = "person0"] return $x`)
-	before = builds()
+	masks := func() float64 { return metricSample(t, ts.URL, `xtq_store_mask_builds_total{role="primary"}`) }
+	before, beforeMasks := builds(), masks()
 	for i := 0; i < 20; i++ {
 		if code, _, body := do(t, "GET", ts.URL+"/docs/e/views/v?q="+q, "", nil); code != http.StatusOK {
 			t.Fatalf("composed read %d: %d %s", i+1, code, body)
+		}
+		want := 1.0
+		if i == 0 {
+			want = 0
+		}
+		if got := masks() - beforeMasks; got != want {
+			t.Fatalf("after composed read %d: %v mask builds, want %v", i+1, got, want)
 		}
 	}
 	if got := builds() - before; got != 0 {

@@ -206,6 +206,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtqd_http_in_flight", "xtqd_slow_queries_total",
 		"xtq_engine_eval_seconds", "xtq_store_commit_seconds",
 		"xtq_store_image_builds_total", "xtq_store_image_bytes_total",
+		"xtq_store_mask_builds_total",
 		"xtq_ivm_image_builds_total", "xtq_ivm_image_bytes_total",
 	} {
 		if _, ok := types[fam]; !ok {

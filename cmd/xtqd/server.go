@@ -561,8 +561,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if method == "" && !explain {
 		// A query reads the snapshot's chain: its second read builds the
-		// image, whose ranges the walk copies and whose label masks
-		// prune it. Noted before the walk, so that read already gains.
+		// image, whose ranges the walk copies, and the label masks
+		// beside it, which prune the walk. Noted before the walk, so
+		// that read already gains.
 		snap.Image()
 		writeStreamed(w, snap, func(w io.Writer) error { return p.EvalTo(ctx, snap, w) })
 		return
@@ -722,6 +723,11 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 			writeError(w, err)
 			return
 		}
+		// A composed query reads the chain without copying its bytes:
+		// its second read builds the chain's label masks, which prune
+		// the walk, and no image. Noted before the walk, so that read
+		// already gains.
+		snap.ReadMasks()
 		out, stats, err := pv.Eval(ctx, snap)
 		if err != nil {
 			writeError(w, err)
@@ -769,7 +775,9 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 	}
 	if q == "" {
 		// A maintained view shares its base's untouched subtrees, so it
-		// reads the base chain like a query; a small ?q= result does not.
+		// reads the base chain like a query; a small ?q= result does
+		// not, and earns the chain only the label masks beside the image
+		// (noted above).
 		snap.Image()
 	}
 	writeResult(w, snap, res)

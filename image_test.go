@@ -214,8 +214,8 @@ func upperASCII(b []byte) string {
 // compaction into a new chain. At every version, Snapshot.WriteXML and
 // query results through the image equal the plain walk (and the query
 // results the copy-then-update oracle), as does the emit walk pruned by
-// the image's label masks, and every earlier version still serializes
-// to the bytes it had.
+// the label masks the image build publishes, and every earlier version
+// still serializes to the bytes it had.
 func TestImageAcrossVersions(t *testing.T) {
 	ctx := context.Background()
 	var doc strings.Builder
@@ -315,7 +315,7 @@ func TestImageAcrossVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 			if b.String() != want {
-				t.Fatalf("commit %d (%s): the emit walk over the image's masks differs", k, q)
+				t.Fatalf("commit %d (%s): the emit walk over the chain's masks differs", k, q)
 			}
 		}
 		for _, v := range history {

@@ -32,7 +32,7 @@ type Binding struct {
 // States[id].NextLabel in the bound table, or NoSym when the state has
 // no labelled transition or the table has never seen the label (such a
 // transition can only fire through the string fallback). acc is the
-// label mask (bit SymID % 64, as in tree.Index.Below) of every
+// label mask (tree.SymBit, as in tree.Index.Below) of every
 // transition into the final state reachable from the state: the labels
 // a node below one holding the state must carry to be selected. A
 // wildcard into the final state sets every bit; a label the table has
@@ -75,7 +75,7 @@ func (m *NFA) bind(syms *tree.Symbols, sym func(string) tree.SymID) *Binding {
 		if st.Next >= 0 {
 			sb.acc |= b.st[st.Next].acc
 			if st.Next == m.Final {
-				sb.acc |= 1 << (uint(sb.sym) % 64)
+				sb.acc |= tree.SymBit(sb.sym)
 				if st.NextWild {
 					sb.acc = ^uint64(0)
 				}

@@ -75,9 +75,6 @@ func NewConfigCache(b *Binding) *ConfigCache {
 // no pending qualifiers.
 func (c *ConfigCache) Root() *Config { return c.root }
 
-// NumConfigs returns the number of distinct configurations interned.
-func (c *ConfigCache) NumConfigs() int { return len(c.configs) }
-
 // Step returns the configuration for an element carrying sym (and label,
 // consulted only when sym is NoSym) whose parent has configuration p.
 func (c *ConfigCache) Step(p *Config, sym tree.SymID, label string) *Config {

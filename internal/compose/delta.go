@@ -178,10 +178,15 @@ func (s *Stack) runSegment(ctx context.Context, doc, bridge *tree.Node, oldMemo 
 	}
 	off := len(stats.Layers)
 	stats.Layers = append(stats.Layers, make([]Stats, len(s.layers))...)
+	size := 0
+	if oldMemo != nil {
+		// A delta run memoizes about what the previous run did.
+		size = len(oldMemo.m)
+	}
 	r := &stackRun{
 		s:      s,
 		can:    core.NewCanceler(ctx),
-		memo:   &Memo{s: s, m: make(map[*tree.Node]*memoEntry)},
+		memo:   &Memo{s: s, m: make(map[*tree.Node]*memoEntry, size)},
 		old:    oldMemo,
 		stats:  stats,
 		layers: stats.Layers[off:],
@@ -256,10 +261,11 @@ func (r *stackRun) eval(n, b *tree.Node, states []automaton.StateSet, memoize bo
 			// snapshot that the update returned unchanged — n's subtree
 			// is byte-identical to the one e.image was computed over,
 			// and the automata arrive in the same states: splice the
-			// old image without descending.
+			// old image without descending. Entries are immutable, so
+			// the new memo keeps the old one.
 			r.stats.ReusedSubtrees++
 			if memoize {
-				r.memo.m[n] = &memoEntry{states: states, image: e.image}
+				r.memo.m[n] = e
 			}
 			return e.image
 		}

@@ -69,15 +69,12 @@ func (randomComposition) Generate(r *rand.Rand, _ int) reflect.Value {
 }
 
 // Property: the Compose Method, the Naive Composition and the literal
-// Q(Qt(T)) reference agree on arbitrary inputs.
+// Q(Qt(T)) reference agree on arbitrary inputs, over the plain tree and
+// over a copy of it whose chain has its label masks built.
 func TestQuickCompositionEquivalence(t *testing.T) {
 	ctx := context.Background()
 	prop := func(tc randomComposition) bool {
 		p, err := NewPlan([]*core.Compiled{tc.Qt}, tc.User)
-		if err != nil {
-			return false
-		}
-		got, _, err := p.Eval(ctx, tc.Doc)
 		if err != nil {
 			return false
 		}
@@ -89,14 +86,17 @@ func TestQuickCompositionEquivalence(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !tree.Equal(got, want) {
-			return false
+		for _, doc := range []*tree.Node{tc.Doc, maskedCopy(tc.Doc)} {
+			got, _, err := p.Eval(ctx, doc)
+			if err != nil || !tree.Equal(got, want) {
+				return false
+			}
+			ngot, err := p.EvalSequential(ctx, doc, core.MethodTopDown)
+			if err != nil || !tree.Equal(ngot, want) {
+				return false
+			}
 		}
-		ngot, err := p.EvalSequential(ctx, tc.Doc, core.MethodTopDown)
-		if err != nil {
-			return false
-		}
-		return tree.Equal(ngot, want)
+		return true
 	}
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(31))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -146,7 +146,8 @@ func randomUpdate(r *rand.Rand, cfg xpath.GenConfig) core.Update {
 // Property: for randomized XMark configs and 2-3-layer view stacks over
 // all four update kinds, the single-pass Plan.Eval agrees with
 // sequentially materializing each transform and then running the user
-// query (the Naive Composition oracle, generalized to stacks).
+// query (the Naive Composition oracle, generalized to stacks), over the
+// plain document and over a copy whose chain has its label masks built.
 func TestQuickStackEquivalenceXMark(t *testing.T) {
 	cfg := xmarkGenConfig()
 	checked := 0
@@ -187,21 +188,23 @@ func TestQuickStackEquivalenceXMark(t *testing.T) {
 			t.Fatal(err)
 		}
 		checked++
-		got, _, err := p.Eval(context.Background(), doc)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
 		want, err := p.EvalSequential(context.Background(), doc, core.MethodCopyUpdate)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !tree.Equal(got, want) {
-			var stack []string
-			for _, l := range layers {
-				stack = append(stack, l.Query.Update.String("$a"))
+		for _, d := range []*tree.Node{doc, maskedCopy(doc)} {
+			got, _, err := p.Eval(context.Background(), d)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			t.Fatalf("seed %d: stack mismatch\n stack: %v\n user: %s\n got  %s\n want %s",
-				seed, stack, user, got, want)
+			if !tree.Equal(got, want) {
+				var stack []string
+				for _, l := range layers {
+					stack = append(stack, l.Query.Update.String("$a"))
+				}
+				t.Fatalf("seed %d (masks: %v): stack mismatch\n stack: %v\n user: %s\n got  %s\n want %s",
+					seed, d != doc, stack, user, got, want)
+			}
 		}
 	}
 	if checked < 50 {

@@ -24,7 +24,10 @@ type stateSet = automaton.StateSet
 // state set dies the evaluator drops into plain navigation: child steps
 // and '//l' walks below such a node run over the real tree with no
 // virtual node and no per-layer state, and a qualifier test there is
-// xpath's own. Qualifier
+// xpath's own. Once the document's chain has its subtree label masks
+// (tree.Index.Below), a layer's state set also dies at a child below
+// which, in the layer's input, no label it could still select occurs,
+// and a '//l' walk skips every subtree that cannot hold an l. Qualifier
 // tests are first-witness searches everywhere: they stop the enumeration
 // they are in at the first node that passes.
 //
@@ -153,10 +156,13 @@ type run struct {
 	can   *core.Canceler
 	stats ViewStats
 	idx   *tree.Index
-	binds []*automaton.Binding
-	// renameSyms[i] is the doc-table symbol of layer i's rename target
-	// (NoSym when absent from the document or layer i is not a rename).
-	renameSyms []tree.SymID
+	// masked is set when idx's chain had its label masks when the run
+	// started; without them no mask test can prune, and none is made.
+	masked bool
+	binds  []*automaton.Binding
+	// syms[i] is what layer i's update brings into the view, resolved
+	// in the document's table.
+	syms []layerSyms
 	// nextVOrd is the next free virtual ordinal; real nodes own
 	// [0, idx.NumNodes).
 	nextVOrd int32
@@ -170,6 +176,17 @@ type run struct {
 	// callback that used the push returns.
 	vecs []stateSet
 	sets []uint64
+}
+
+// layerSyms is one layer's update resolved in the document's table.
+type layerSyms struct {
+	// rename is the symbol of the layer's rename target (NoSym when
+	// absent from the document or the layer is not a rename).
+	rename tree.SymID
+	// intro is the label mask (tree.SymBit) of the labels the layer can
+	// bring below a node where it is live: its rename target, or every
+	// label of its constant element.
+	intro uint64
 }
 
 // arenaDepth is the number of nested vnodes the first arena block holds;
@@ -205,21 +222,69 @@ func (r *run) pushSet(words int) stateSet {
 func newRun(p *Plan, can *core.Canceler, doc *tree.Node) *run {
 	idx := tree.EnsureIndex(doc)
 	r := &run{
-		plan:       p,
-		can:        can,
-		stats:      ViewStats{Layers: make([]Stats, len(p.layers))},
-		idx:        idx,
-		binds:      make([]*automaton.Binding, len(p.layers)),
-		renameSyms: make([]tree.SymID, len(p.layers)),
-		nextVOrd:   int32(idx.NumNodes),
+		plan:     p,
+		can:      can,
+		stats:    ViewStats{Layers: make([]Stats, len(p.layers))},
+		idx:      idx,
+		masked:   idx.HasMasks(),
+		binds:    make([]*automaton.Binding, len(p.layers)),
+		syms:     make([]layerSyms, len(p.layers)),
+		nextVOrd: int32(idx.NumNodes),
 	}
 	for i, l := range p.layers {
 		r.binds[i] = l.NFA.Bind(idx.Syms)
-		if l.Query.Update.Op == core.Rename {
-			r.renameSyms[i] = idx.Syms.Lookup(l.Query.Update.Label)
+		switch u := &l.Query.Update; u.Op {
+		case core.Rename:
+			r.syms[i].rename = idx.Syms.Lookup(u.Label)
+			r.syms[i].intro = tree.SymBit(r.syms[i].rename)
+		case core.Insert, core.Replace:
+			r.syms[i].intro = r.labelBits(u.Elem)
 		}
 	}
 	return r
+}
+
+// labelBits returns the label mask of the elements of n's subtree, n
+// included, in the document's table.
+func (r *run) labelBits(n *tree.Node) uint64 {
+	var m uint64
+	if n.Kind == tree.Element {
+		m = tree.SymBit(r.idx.Syms.Lookup(n.Label))
+	}
+	for _, c := range n.Children {
+		m |= r.labelBits(c)
+	}
+	return m
+}
+
+// below returns the label mask (tree.Index.Below) of what may occur
+// strictly below x in the view it was produced at: the document's labels
+// below x.n, with what every layer still live at x can bring there
+// (entries at or above x's level are nil), and every bit for a node of a
+// constant element.
+func (r *run) below(x vnode) uint64 {
+	if !r.masked || x.origin > 0 {
+		return ^uint64(0)
+	}
+	m := r.idx.Below(x.n)
+	if m == ^uint64(0) {
+		return m
+	}
+	for i, s := range x.states {
+		if s != nil && !s.Empty() {
+			m |= r.syms[i].intro
+		}
+	}
+	return m
+}
+
+// stepBit returns the label mask a child step's label test needs: every
+// bit, which no mask test can fail, for a wildcard or an unmasked run.
+func (r *run) stepBit(s *xpath.Step) uint64 {
+	if !r.masked || s.Wildcard {
+		return ^uint64(0)
+	}
+	return tree.SymBit(r.idx.Syms.Lookup(s.Label))
 }
 
 // ordOf returns x's virtual ordinal: the preorder ordinal for real
@@ -335,10 +400,18 @@ func (r *run) eachChildAt(x vnode, level int, elemsOnly bool, fn func(vnode) boo
 			return true
 		}, st)
 		var ok bool
+		matched := m.Matches(st)
 		switch {
-		case !m.Matches(st) || u.Op == core.Insert:
+		case !matched || u.Op == core.Insert:
 			// An insert's constant element appears when ch's own
 			// children are enumerated (it becomes ch's last child).
+			// Below an unmatched ch that holds no label the layer could
+			// still select (Binding.Needed), the layer is dead: clearing
+			// its set lets the walk go plain there. A matched ch keeps
+			// its set, which materialize and the insert read.
+			if !matched && r.masked && b.Needed(st)&r.below(ch) == 0 {
+				st = nil
+			}
 			ch.states[li] = st
 			ok = fn(ch)
 		case u.Op == core.Delete:
@@ -348,7 +421,7 @@ func (r *run) eachChildAt(x vnode, level int, elemsOnly bool, fn func(vnode) boo
 			ok = r.yieldConstant(u.Elem, level, ch, fn)
 		case u.Op == core.Rename:
 			ch.label = u.Label
-			ch.sym = r.renameSyms[li]
+			ch.sym = r.syms[li].rename
 			ch.states[li] = st
 			ok = fn(ch)
 		}
@@ -423,14 +496,19 @@ func (r *run) selectPathAt(from vnode, steps []xpath.Step, level int) []vnode {
 
 // applyDescChildAt evaluates the fused step '//l[q]' over View_level: all
 // matching children of the frontier's self-or-descendant nodes, in one
-// walk. Deduplication is a bitset over virtual ordinals.
+// walk that skips every subtree whose label mask lacks l. Deduplication
+// is a bitset over virtual ordinals.
 func (r *run) applyDescChildAt(frontier []vnode, s xpath.Step, level int) []vnode {
 	var out []vnode
 	seen := r.getBS()
+	want := r.stepBit(&s)
 	var visit func(x vnode) bool
 	visit = func(x vnode) bool {
+		if r.below(x)&want == 0 {
+			return true
+		}
 		if x.deadAll() {
-			return r.deadStep(x, x.n, &s, level, &seen, &out)
+			return r.deadStep(x, x.n, &s, level, want, &seen, &out)
 		}
 		return r.eachChildAt(x, level, true, func(ch vnode) bool {
 			if r.stepHoldsAt(ch, &s, level) && seen.add(r.ordOf(ch)) {
@@ -451,10 +529,10 @@ func (r *run) applyDescChildAt(frontier []vnode, s xpath.Step, level int) []vnod
 // subtree, when no layer can touch x's subtree: the paper's plain
 // navigation, straight over the real tree with no vnode per visited node
 // and no per-layer state. Given seen, it is the fused '//l' step: it also
-// descends, and deduplicates through seen. It counts NodesVisited and
-// polls cancellation exactly as the general walk does through
-// baseChildren.
-func (r *run) deadStep(x vnode, n *tree.Node, s *xpath.Step, level int, seen *bitset, out *[]vnode) bool {
+// descends into the children whose label mask holds want, l's bit, and
+// deduplicates through seen. It counts NodesVisited and polls
+// cancellation exactly as the general walk does through baseChildren.
+func (r *run) deadStep(x vnode, n *tree.Node, s *xpath.Step, level int, want uint64, seen *bitset, out *[]vnode) bool {
 	if r.can.Stopped() {
 		return false
 	}
@@ -469,7 +547,7 @@ func (r *run) deadStep(x vnode, n *tree.Node, s *xpath.Step, level int, seen *bi
 				*out = append(*out, c)
 			}
 		}
-		if seen != nil && !r.deadStep(x, ch, s, level, seen, out) {
+		if seen != nil && (want == ^uint64(0) || r.idx.Below(ch)&want != 0) && !r.deadStep(x, ch, s, level, want, seen, out) {
 			return false
 		}
 	}
@@ -484,7 +562,7 @@ func (r *run) applyStepAt(frontier []vnode, s xpath.Step, level int) []vnode {
 		// distinct children: no deduplication needed.
 		for _, f := range frontier {
 			if f.deadAll() {
-				r.deadStep(f, f.n, &s, level, nil, &out)
+				r.deadStep(f, f.n, &s, level, 0, nil, &out)
 				continue
 			}
 			r.eachChildAt(f, level, true, func(ch vnode) bool {
@@ -599,14 +677,7 @@ func (r *run) witnessAt(x vnode, t xpath.PathTest, level int) bool {
 		})
 	case xpath.DescendantOrSelf:
 		if len(s.Quals) == 0 && len(rest.Steps) > 0 && rest.Steps[0].Axis == xpath.Child {
-			// '//l' in one walk, like selectPathAt's fused step: each
-			// child is tested as an l, then searched below.
-			l := &rest.Steps[0]
-			after := rest
-			after.Steps = rest.Steps[1:]
-			return r.someChildAt(x, level, func(ch vnode) bool {
-				return r.stepHoldsAt(ch, l, level) && r.witnessAt(ch, after, level) || r.witnessAt(ch, t, level)
-			})
+			return r.witnessDesc(x, t, r.stepBit(&rest.Steps[0]), level)
 		}
 		return r.qualsHoldAt(x, s.Quals, level) && r.witnessAt(x, rest, level) ||
 			r.someChildAt(x, level, func(ch vnode) bool { return r.witnessAt(ch, t, level) })
@@ -614,6 +685,22 @@ func (r *run) witnessAt(x vnode, t xpath.PathTest, level int) bool {
 		return r.qualsHoldAt(x, s.Quals, level) && r.witnessAt(x, rest, level)
 	}
 	return false
+}
+
+// witnessDesc is witnessAt for a t that starts with '//l', in one walk
+// like selectPathAt's fused step: each child is tested as an l, then
+// searched below unless its label mask lacks want, l's bit.
+func (r *run) witnessDesc(x vnode, t xpath.PathTest, want uint64, level int) bool {
+	if x.deadAll() {
+		return t.Exists(x.n)
+	}
+	l := &t.Steps[1]
+	after := t
+	after.Steps = t.Steps[2:]
+	return r.someChildAt(x, level, func(ch vnode) bool {
+		return r.stepHoldsAt(ch, l, level) && r.witnessAt(ch, after, level) ||
+			r.below(ch)&want != 0 && r.witnessDesc(ch, t, want, level)
+	})
 }
 
 // someChildAt reports whether pred holds for some child of x in

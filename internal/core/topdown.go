@@ -266,7 +266,7 @@ func newTDRun(ctx context.Context, c *Compiled, doc *tree.Node, check QualChecke
 // update kinds. It traverses only the part of the tree reachable with a
 // non-empty automaton state set, and of that only the subtrees that
 // hold a label the update could still select (tree.Index.Below, known
-// once the document's chain has an image); subtrees the update cannot
+// once the document's chain has its label masks); subtrees the update cannot
 // touch are returned by reference (structural sharing), so the result is
 // a copy-on-write view over the input; an inserted or replacing element
 // is the Compiled's one frozen constant, shared by every result. The

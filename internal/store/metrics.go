@@ -32,6 +32,8 @@ var (
 		"Serialized chain images built on a chain's second transform query or maintained-view read (at most one per version chain).")
 	mImageBytes = obs.Default.Counter("xtq_store_image_bytes_total",
 		"Bytes of the serialized chain images built.")
+	mMaskBuilds = obs.Default.Counter("xtq_store_mask_builds_total",
+		"Chain subtree label masks built without an image, on a chain's second read when it is a composed view query (at most one per version chain).")
 )
 
 // observeCommit records one successful commit on the registry.

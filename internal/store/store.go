@@ -116,11 +116,13 @@ func (s *Snapshot) WriteXML(w io.Writer) error { return s.root.WriteXML(w) }
 
 // Image notes a read of the snapshot's version chain and returns the
 // chain's serialized image (see tree.Image), building it from this
-// snapshot on the chain's second read (tree.Index.ReadImage): a document
-// read once never holds one. A read is a transform query or a read of a
-// maintained view over the chain. Every emitter copies from the image
-// once it exists, whoever built it. Only the calls that build an image
-// are counted on the registry.
+// snapshot on the chain's second read of any kind (tree.Index.ReadImage):
+// a document read once never holds one. A read is a transform query or a
+// read of a maintained view over the chain. Every emitter copies from
+// the image once it exists, whoever built it. The build also publishes
+// the chain's subtree label masks, which live beside the image, when
+// the chain has none yet (see ReadMasks). Only the calls that build an
+// image are counted on the registry.
 func (s *Snapshot) Image() *tree.Image {
 	img, built := s.ix.ReadImage()
 	if built {
@@ -128,6 +130,19 @@ func (s *Snapshot) Image() *tree.Image {
 		mImageBytes.Add(uint64(img.Len()))
 	}
 	return img
+}
+
+// ReadMasks notes a read of the snapshot's version chain that copies
+// none of its bytes — a user query composed with a view — and builds the
+// chain's subtree label masks from this snapshot on the chain's second
+// read of any kind (tree.Index.ReadMasks), never its image: the masks
+// prune the composed walk, while an image would cost the memory of a
+// serialization such a read never copies. Only the calls that build
+// masks are counted on the registry.
+func (s *Snapshot) ReadMasks() {
+	if s.ix.ReadMasks() {
+		mMaskBuilds.Inc()
+	}
 }
 
 // NumNodes returns the number of live nodes in the snapshot — the count

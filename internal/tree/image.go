@@ -24,17 +24,13 @@ import (
 // the nodes the view created, and a later view version that splices
 // them copies their bytes.
 //
-// Beside each range the image keeps the node's subtree label mask: the
-// labels strictly below the node, one bit per label (SymID % 64 in the
-// chain's table), which Index.Below hands to the evaluators so they can
-// skip descents that cannot reach a label they select. A node whose
-// subtree holds a node of another index has every bit set: its labels
-// are ids of another table. A collision between two labels only makes
-// the mask admit more, never less.
+// The chain's subtree label masks (see Index.Below) live beside the
+// image, not in it: a chain may hold masks without an image (a composed
+// view query reads the chain without copying its bytes), and building
+// an image publishes the masks too when the chain has none yet.
 type Image struct {
 	data  []byte
-	spans []span   // by ordinal; end == 0 means not covered
-	below []uint64 // by ordinal, valid where spans is: labels strictly below
+	spans []span // by ordinal; end == 0 means not covered
 }
 
 // span is the byte range [start,end) of one node's serialization.
@@ -67,14 +63,15 @@ func imaged(n *Node) (img *Image, b []byte) {
 }
 
 // Image returns the serialized image of ix's version chain, building it
-// from ix.Root when the chain has none yet; built reports whether this
-// call published the image it returns. Concurrent first calls may each
-// build one, but exactly one is published and every caller gets it. ix
-// must be a version's own index (Adopt, Freeze, PathCopy, StampChain);
-// for any other index the result is nil. A view chain's image
-// (StampChain) holds the whole view's bytes but ranges only for the
-// nodes the view created. A serialization larger than 4 GiB, which uint32
-// ranges cannot address, publishes an image covering nothing.
+// from ix.Root when the chain has none yet, and the chain's label masks
+// first when it has none either (BuildMasks); built reports whether
+// this call published the image it returns. Concurrent first calls may
+// each build one, but exactly one is published and every caller gets
+// it. ix must be a version's own index (Adopt, Freeze, PathCopy,
+// StampChain); for any other index the result is nil. A view chain's
+// image (StampChain) holds the whole view's bytes but ranges only for
+// the nodes the view created. A serialization larger than 4 GiB, which
+// uint32 ranges cannot address, publishes an image covering nothing.
 func (ix *Index) Image() (img *Image, built bool) {
 	if ix.chain == nil || ix.Root == nil {
 		return nil, false
@@ -82,6 +79,7 @@ func (ix *Index) Image() (img *Image, built bool) {
 	if img := ix.chain.img.Load(); img != nil {
 		return img, false
 	}
+	ix.BuildMasks()
 	img = buildImage(ix)
 	if ix.chain.img.CompareAndSwap(nil, img) {
 		return img, true
@@ -90,11 +88,12 @@ func (ix *Index) Image() (img *Image, built bool) {
 }
 
 // ReadImage notes a read of ix's version chain and returns the chain's
-// image, building it on the chain's second noted read: the first read
-// of a chain gets nil and walks. Building costs about one walk more than
-// answering a read without an image, so only a chain read again earns
-// its image. built reports whether this call published the image; the
-// result is nil for an index outside any chain.
+// image, building it on the chain's second noted read of any kind (this
+// or ReadMasks): the first read of a chain gets nil and walks. Building
+// costs about one walk more than answering a read without an image, so
+// only a chain read again earns its image. built reports whether this
+// call published the image; the result is nil for an index outside any
+// chain.
 func (ix *Index) ReadImage() (img *Image, built bool) {
 	if img := ix.LoadImage(); img != nil || ix.chain == nil || !ix.chain.read.Swap(true) {
 		return img, false
@@ -111,34 +110,17 @@ func (ix *Index) LoadImage() *Image {
 	return ix.chain.img.Load()
 }
 
-// Below returns the label mask of n's subtree (see Image): the labels
-// strictly below n, bit SymID % 64 of each in ix's chain table. When no
-// image of ix's chain covers n — n is unstamped, of another index or
-// chain, created after the image, or its chain has no image yet — every
-// bit is set, which prunes nothing.
-func (ix *Index) Below(n *Node) uint64 {
-	if ix.chain == nil || !ix.Contains(n) {
-		return ^uint64(0)
-	}
-	img := ix.chain.img.Load()
-	if img == nil || uint(n.ord) >= uint(len(img.below)) || img.spans[n.ord].end == 0 {
-		return ^uint64(0)
-	}
-	return img.below[n.ord]
-}
-
 // buildImage serializes ix.Root twice: once to measure it, once into an
-// exactly sized buffer while recording the ranges and label masks. The
-// image is built once per chain and kept for the chain's life, so it
-// takes a second walk rather than leaving a transient copy of the
-// document behind.
+// exactly sized buffer while recording the ranges. The image is built
+// once per chain and kept for the chain's life, so it takes a second
+// walk rather than leaving a transient copy of the document behind.
 func buildImage(ix *Index) *Image {
 	var sink imageSink
 	if !writeImage(ix, &sink, nil) {
 		return &Image{}
 	}
 	sink = imageSink{buf: make([]byte, 0, sink.n), keep: true}
-	img := &Image{spans: make([]span, ix.NumNodes), below: make([]uint64, ix.NumNodes)}
+	img := &Image{spans: make([]span, ix.NumNodes)}
 	writeImage(ix, &sink, img)
 	img.data = sink.buf
 	return img
@@ -166,10 +148,9 @@ func (s *imageSink) Write(p []byte) (int, error) {
 
 // writeImage writes ix.Root to s exactly as Emitter.Node does, with an
 // iterative walk (documents as deep as WithMaxDepth admits must not
-// overflow the stack), and records in img, when non-nil, the range and
-// the label mask of every member node with children, both on the node's
-// exit, when its children's masks are final. It reports false when the
-// output does not fit uint32 offsets.
+// overflow the stack), and records in img, when non-nil, the range of
+// every member node with children. It reports false when the output
+// does not fit uint32 offsets.
 func writeImage(ix *Index, s *imageSink, img *Image) bool {
 	e := NewEmitter(s)
 	type frame struct {
@@ -187,7 +168,6 @@ func writeImage(ix *Index, s *imageSink, img *Image) bool {
 			}
 			if img != nil && ix.Contains(n) {
 				img.spans[n.ord] = span{uint32(f.start), uint32(s.n + len(e.buf))}
-				img.below[n.ord] = ix.childMasks(n, img.below)
 			}
 			continue
 		}
@@ -210,21 +190,4 @@ func writeImage(ix *Index, s *imageSink, img *Image) bool {
 		}
 	}
 	return e.Flush() == nil
-}
-
-// childMasks folds the label masks of n's children, each child's own
-// label bit with the mask below it, into the mask below n. A child of
-// another index sets every bit.
-func (ix *Index) childMasks(n *Node, below []uint64) uint64 {
-	var m uint64
-	for _, c := range n.Children {
-		if c.Kind != Element {
-			continue
-		}
-		if !ix.Contains(c) {
-			return ^uint64(0)
-		}
-		m |= 1<<(uint(c.Sym)%64) | below[c.ord]
-	}
-	return m
 }

@@ -104,10 +104,12 @@ func TestImageServesLaterVersions(t *testing.T) {
 }
 
 // TestBelowMasks: along a chain imaged at its third version, Below
-// returns, for every node the image covers, the labels strictly below
-// it (bit SymID % 64), and every bit for anything else: nodes created
-// after the image, leaves, nodes outside the chain, and every node
-// before the chain has an image.
+// returns, for every node reachable from that version, the labels
+// strictly below it (bit SymID % 64; 0 for a leaf), and every bit for
+// anything else: nodes created after the masks, nodes of earlier
+// versions the third replaced (holes in the masks), nodes outside the
+// chain, and every node before the chain has masks. ReadMasks builds the
+// same masks on a chain's second read, without an image.
 func TestBelowMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	root, ix, _ := Freeze(Generate(rng, DefaultGenOptions()), nil)
@@ -118,13 +120,20 @@ func TestBelowMasks(t *testing.T) {
 			versions = append(versions, ix)
 		}
 		if len(versions) == 3 && versions[0].Below(versions[0].Root) != ^uint64(0) {
-			t.Fatal("a chain without an image masks its root")
+			t.Fatal("a chain without masks masks its root")
 		}
 		if len(versions) == 3 && versions[2].LoadImage() == nil {
 			versions[2].Image()
 		}
 	}
-	img := versions[2].LoadImage()
+	covered := map[*Node]bool{}
+	stack := []*Node{versions[2].Root}
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		stack = append(stack, n.Children...)
+		covered[n] = true
+	}
 	var below func(n *Node) uint64
 	below = func(n *Node) uint64 {
 		var m uint64
@@ -135,7 +144,7 @@ func TestBelowMasks(t *testing.T) {
 		}
 		return m
 	}
-	masked := 0
+	masked, holes := 0, 0
 	for i, v := range versions {
 		stack := []*Node{v.Root}
 		for len(stack) > 0 {
@@ -143,9 +152,12 @@ func TestBelowMasks(t *testing.T) {
 			stack = stack[:len(stack)-1]
 			stack = append(stack, n.Children...)
 			got := v.Below(n)
-			if img.Subtree(n) == nil {
+			if !covered[n] {
 				if got != ^uint64(0) {
 					t.Fatalf("version %d: an uncovered node is masked %x", i, got)
+				}
+				if i < 2 {
+					holes++
 				}
 				continue
 			}
@@ -155,16 +167,24 @@ func TestBelowMasks(t *testing.T) {
 			masked++
 		}
 	}
-	if masked == 0 {
-		t.Fatal("no node masked")
+	if masked == 0 || holes == 0 {
+		t.Fatalf("%d nodes masked, %d holes read: the check is vacuous", masked, holes)
 	}
 	if versions[5].Below(versions[5].Root.DeepCopy()) != ^uint64(0) {
 		t.Fatal("an unstamped node is masked")
 	}
 	other, oix, _ := Freeze(root.DeepCopy(), nil)
-	oix.Image()
+	if oix.ReadMasks() || oix.Below(other) != ^uint64(0) || !oix.ReadMasks() || oix.LoadImage() != nil {
+		t.Fatal("ReadMasks must build the masks, and no image, on the chain's second read")
+	}
+	if oix.ReadMasks() || oix.BuildMasks() {
+		t.Fatal("a chain's masks were built twice")
+	}
 	if versions[5].Below(other.Children[0]) != ^uint64(0) || oix.Below(versions[5].Root.Children[0]) != ^uint64(0) {
 		t.Fatal("a node of another chain is masked")
+	}
+	if got, want := oix.Below(other.Children[0]), below(other.Children[0]); got != want {
+		t.Fatalf("ReadMasks: root element masked %x, want %x", got, want)
 	}
 }
 

@@ -67,11 +67,13 @@ type Index struct {
 
 // chainID is an identity token shared by every version of one
 // path-copied document chain. Besides its pointer it carries the chain's
-// serialized image, built at most once (see Image), and whether a read
-// of the chain has been noted (see ReadImage).
+// serialized image and its subtree label masks, each built at most once
+// (see Image and Below), and whether a read of the chain has been noted
+// (see ReadImage and ReadMasks).
 type chainID struct {
-	img  atomic.Pointer[Image]
-	read atomic.Bool
+	img   atomic.Pointer[Image]
+	below atomic.Pointer[[]uint64]
+	read  atomic.Bool
 }
 
 // indexMu serializes the first indexing of unstamped trees, so concurrent

@@ -202,6 +202,65 @@ func TestConcurrentComposedUserQueries(t *testing.T) {
 	}
 }
 
+// TestConcurrentComposedReadsDuringMaskBuild: four goroutines answer
+// the security view's user queries over one store snapshot, each read
+// noting itself first as xtqd's handler does (Snapshot.ReadMasks), so
+// the chain's second read builds and publishes its label masks while
+// other reads walk; a fifth goroutine builds the chain's image, which
+// publishes the masks too when it gets there first. Every answer equals
+// the unmasked one, and afterwards the chain holds its masks.
+func TestConcurrentComposedReadsDuringMaskBuild(t *testing.T) {
+	ctx := context.Background()
+	snap, _, err := NewStore(nil).Put(ctx, "d", benchDoc(t, 0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pvs := prepareSecurityView(t)
+	want := make([]string, len(pvs))
+	for i, pv := range pvs {
+		got, _, err := pv.Eval(ctx, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = got.String()
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		snap.Index().Image()
+	}()
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range pvs {
+				i := (k + g*len(pvs)/goroutines) % len(pvs)
+				snap.ReadMasks()
+				got, _, err := pvs[i].Eval(ctx, snap)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got.String() != want[i] {
+					errs <- errors.New(securityViewQueries[i].name + ": a read during the mask build diverged")
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if snap.Index().BuildMasks() {
+		t.Fatal("the chain had no masks after its reads and its image build")
+	}
+}
+
 func TestViewPlanCache(t *testing.T) {
 	eng := NewEngine()
 	v, err := eng.View(viewRedact)
