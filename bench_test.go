@@ -539,51 +539,68 @@ func BenchmarkSealedSnapshotEval(b *testing.B) {
 }
 
 // BenchmarkPathCopyCommit measures the full write path — evaluate the
-// update, path-copy the touched spine, publish the version — under the
-// alternating //item rename workload of the store sweeps. The
-// copied-B/op metric is the per-commit copy volume: spine nodes and
-// their child slices, everything else shared with the previous version
-// (a whole-tree copy costs what the initial Put reports as CopiedBytes).
+// update, path-copy the touched spine, publish the version — in two
+// legs: rename, the alternating //item rename of the store sweeps on
+// XMark 0.01, and note, update_commit's writer on XMark 0.05, which
+// inserts <bench_note/> into one person and deletes it again (each
+// commit aliases the ~1 300 other children of people). The copied-B/op
+// metric is the per-commit copy volume: spine nodes and their child
+// slices, everything else shared with the previous version (a
+// whole-tree copy costs what the initial Put reports as CopiedBytes).
 func BenchmarkPathCopyCommit(b *testing.B) {
-	doc := benchDoc(b, 0.01)
-	ctx := context.Background()
-	st := NewStore(nil)
-	if _, _, err := st.Put(ctx, "d", doc); err != nil {
-		b.Fatal(err)
-	}
-	fwd := `transform copy $a := doc("d") modify do rename $a/site/regions//item as item_ return $a`
-	back := `transform copy $a := doc("d") modify do rename $a/site/regions//item_ as item return $a`
-	if _, _, err := st.Apply(ctx, "d", fwd); err != nil { // warm caches
-		b.Fatal(err)
-	}
-	if _, _, err := st.Apply(ctx, "d", back); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var copied int64
-	for i := 0; i < b.N; i++ {
-		q := fwd
-		if i%2 == 1 {
-			q = back
-		}
-		_, com, err := st.Apply(ctx, "d", q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		copied += com.CopiedBytes
-	}
-	if b.N > 0 {
-		b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
+	const person = `$a/site/people/person[@id = "person7"]`
+	for _, leg := range []struct {
+		name      string
+		factor    float64
+		fwd, back string
+	}{
+		{"rename", 0.01, "rename $a/site/regions//item as item_", "rename $a/site/regions//item_ as item"},
+		{"note", 0.05, "insert <bench_note/> into " + person, "delete " + person + "/bench_note"},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			ctx := context.Background()
+			st := NewStore(nil)
+			if _, _, err := st.Put(ctx, "d", benchDoc(b, leg.factor)); err != nil {
+				b.Fatal(err)
+			}
+			fwd := `transform copy $a := doc("d") modify do ` + leg.fwd + ` return $a`
+			back := `transform copy $a := doc("d") modify do ` + leg.back + ` return $a`
+			if _, _, err := st.Apply(ctx, "d", fwd); err != nil { // warm caches
+				b.Fatal(err)
+			}
+			if _, _, err := st.Apply(ctx, "d", back); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var copied int64
+			for i := 0; i < b.N; i++ {
+				q := fwd
+				if i%2 == 1 {
+					q = back
+				}
+				_, com, err := st.Apply(ctx, "d", q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				copied += com.CopiedBytes
+			}
+			if b.N > 0 {
+				b.ReportMetric(float64(copied)/float64(b.N), "copied-B/op")
+			}
+		})
 	}
 }
 
 // BenchmarkTransformQueries answers the 40 transforms of U1-U10 under
 // every update kind over an XMark 0.05 snapshot whose chain image is
 // built, as xtqd answers query_full_doc: tree evaluates each result and
-// emits it (sax.Emit), served writes it with EvalTo, the walk that
-// builds no result. One op is all 40; allocs/op of served follow the
-// number of queries, not of result nodes.
+// emits it (sax.Emit); served writes it with EvalTo, the walk that
+// builds no result, on each query's first run over the version (every
+// op prepares the 40 afresh, untimed); replayed is EvalTo after two
+// warm runs per query, which replays the recorded answers. One op is
+// all 40; allocs/op of served and replayed follow the number of
+// queries, not of result nodes.
 func BenchmarkTransformQueries(b *testing.B) {
 	ctx := context.Background()
 	st := NewStore(nil)
@@ -592,37 +609,64 @@ func BenchmarkTransformQueries(b *testing.B) {
 		b.Fatal(err)
 	}
 	snap.Index().Image()
-	var ps []*Prepared
+	var qs []*Query
 	for i := 1; i <= 10; i++ {
 		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
-			p, err := st.Engine().PrepareQuery(queries.TransformOp(i, op))
+			qs = append(qs, queries.TransformOp(i, op))
+		}
+	}
+	prepareAll := func(b *testing.B) []*Prepared {
+		eng := NewEngine()
+		ps := make([]*Prepared, len(qs))
+		for i, q := range qs {
+			p, err := eng.PrepareQuery(q)
 			if err != nil {
 				b.Fatal(err)
 			}
-			ps = append(ps, p)
+			ps[i] = p
 		}
+		return ps
 	}
+	emit := func(p *Prepared, w io.Writer) error {
+		res, err := p.Eval(ctx, snap)
+		if err != nil {
+			return err
+		}
+		sw := sax.NewWriter(w)
+		if err := sax.Emit(res, sw); err != nil {
+			return err
+		}
+		return sw.Flush()
+	}
+	evalTo := func(p *Prepared, w io.Writer) error { return p.EvalTo(ctx, snap, w) }
 	for _, leg := range []struct {
-		name string
-		run  func(p *Prepared, w io.Writer) error
+		name  string
+		run   func(p *Prepared, w io.Writer) error
+		fresh bool // prepare the 40 afresh for every op
+		warm  int  // runs per query before the timer starts
 	}{
-		{"tree", func(p *Prepared, w io.Writer) error {
-			res, err := p.Eval(ctx, snap)
-			if err != nil {
-				return err
-			}
-			sw := sax.NewWriter(w)
-			if err := sax.Emit(res, sw); err != nil {
-				return err
-			}
-			return sw.Flush()
-		}},
-		{"served", func(p *Prepared, w io.Writer) error { return p.EvalTo(ctx, snap, w) }},
+		{"tree", emit, false, 0},
+		{"served", evalTo, true, 0},
+		{"replayed", evalTo, false, 2},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			var cd countingDiscard
+			ps := prepareAll(b)
+			for k := 0; k < leg.warm; k++ {
+				for _, p := range ps {
+					if err := leg.run(p, io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if leg.fresh {
+					b.StopTimer()
+					ps = prepareAll(b)
+					b.StartTimer()
+				}
 				for _, p := range ps {
 					if err := leg.run(p, &cd); err != nil {
 						b.Fatal(err)

@@ -418,6 +418,67 @@ func TestStreamMatchesTreeWithImage(t *testing.T) {
 	}
 }
 
+// TestQueryAnswerSource: three POSTs of one transform over a fresh
+// document answer the same bytes, walked (noting the pair), recorded
+// (the chain's second read, which builds its image) and replayed, as
+// X-Xtq-Answer-Source and xtq_query_answers_total say; the recording is
+// charged to xtq_query_answer_bytes. A commit gives a version that walks
+// again. ?method= and ?stream=1 build or stream their answers and set no
+// source.
+func TestQueryAnswerSource(t *testing.T) {
+	ts := newTestServer(t)
+	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, _, body := do(t, "PUT", ts.URL+"/docs/d", doc.String(), nil); code != http.StatusCreated {
+		t.Fatalf("put: %d %s", code, body)
+	}
+	answers := func(source string) float64 {
+		return metricSample(t, ts.URL, `xtq_query_answers_total{role="primary",source="`+source+`"}`)
+	}
+	q := queries.TransformOp(5, core.Rename).String()
+	var first string
+	for i, source := range []string{"walk", "record", "replay", "replay"} {
+		before := answers(source)
+		code, hdr, body := do(t, "POST", ts.URL+"/docs/d/query", q, nil)
+		if code != http.StatusOK {
+			t.Fatalf("query %d: %d %.80q", i+1, code, body)
+		}
+		if got := hdr.Get("X-Xtq-Answer-Source"); got != source {
+			t.Fatalf("query %d: X-Xtq-Answer-Source %q, want %q", i+1, got, source)
+		}
+		if got := answers(source) - before; got != 1 {
+			t.Fatalf("query %d: xtq_query_answers_total{source=%q} rose by %v", i+1, source, got)
+		}
+		if i == 0 {
+			first = body
+		} else if body != first {
+			t.Fatalf("query %d differs from the first (%d vs %d bytes)", i+1, len(body), len(first))
+		}
+	}
+	if b := metricSample(t, ts.URL, `xtq_query_answer_bytes{role="primary"}`); b <= 0 {
+		t.Fatalf("xtq_query_answer_bytes = %v after a recording", b)
+	}
+	for _, path := range []string{"/docs/d/query?method=topdown", "/docs/d/query?stream=1"} {
+		code, hdr, body := do(t, "POST", ts.URL+path, q, nil)
+		if code != http.StatusOK || body != first {
+			t.Fatalf("%s: %d, %d bytes, want the answer's %d", path, code, len(body), len(first))
+		}
+		if got := hdr.Get("X-Xtq-Answer-Source"); got != "" {
+			t.Fatalf("%s: X-Xtq-Answer-Source %q", path, got)
+		}
+	}
+	upd := `transform copy $a := doc("d") modify do delete $a/site/regions return $a`
+	if code, _, body := do(t, "POST", ts.URL+"/docs/d/update", upd, nil); code != http.StatusOK {
+		t.Fatalf("update: %d %s", code, body)
+	}
+	code, hdr, body := do(t, "POST", ts.URL+"/docs/d/query", q, nil)
+	if code != http.StatusOK || body == first || hdr.Get("X-Xtq-Answer-Source") != "walk" {
+		t.Fatalf("query after a commit: %d, source %q, same bytes as before: %v", code, hdr.Get("X-Xtq-Answer-Source"), body == first)
+	}
+}
+
 // TestMaintainedViewReadBuildsImage: a read of a maintained view is a
 // read of its base chain. The first GET walks, the second builds the
 // chain's image (one more xtq_store_image_builds_total) and the third

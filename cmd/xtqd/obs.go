@@ -104,6 +104,7 @@ type slowQueryLine struct {
 	Status       int              `json:"status"`
 	WallMS       float64          `json:"wall_ms"`
 	Method       string           `json:"method,omitempty"`
+	Answer       string           `json:"answer,omitempty"`
 	CacheHit     *bool            `json:"query_cache_hit,omitempty"`
 	CompileMS    float64          `json:"compile_ms,omitempty"`
 	EvalMS       float64          `json:"eval_ms,omitempty"`
@@ -121,6 +122,7 @@ func logSlowQuery(pattern string, r *http.Request, tr *obs.Trace, status int, d 
 		Status:       status,
 		WallMS:       ms(d),
 		Method:       tr.Method(),
+		Answer:       tr.Answer(),
 		CompileMS:    ms(tr.Compile()),
 		EvalMS:       ms(tr.Eval()),
 		DocNodes:     tr.DocNodes(),

@@ -208,6 +208,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtq_store_image_builds_total", "xtq_store_image_bytes_total",
 		"xtq_store_mask_builds_total",
 		"xtq_ivm_image_builds_total", "xtq_ivm_image_bytes_total",
+		"xtq_query_answers_total", "xtq_query_answer_bytes",
 	} {
 		if _, ok := types[fam]; !ok {
 			t.Errorf("family %s missing from /metrics", fam)

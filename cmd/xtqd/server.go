@@ -213,6 +213,31 @@ func (t *trackingWriter) Write(p []byte) (int, error) {
 	return t.w.Write(p)
 }
 
+// answerWriter sets X-Xtq-Answer-Source (walk, record or replay, from
+// the request's trace; see Prepared.EvalTo) before the first byte of a
+// transform answer goes out, while headers can still change.
+type answerWriter struct {
+	w    io.Writer
+	h    http.Header
+	tr   *obs.Trace
+	done bool
+}
+
+func (a *answerWriter) Write(p []byte) (int, error) {
+	a.source()
+	return a.w.Write(p)
+}
+
+func (a *answerWriter) source() {
+	if a.done || a.tr == nil {
+		return
+	}
+	a.done = true
+	if s := a.tr.Answer(); s != "" {
+		a.h.Set("X-Xtq-Answer-Source", s)
+	}
+}
+
 func versionHeaders(w http.ResponseWriter, snap *xtq.Snapshot) {
 	v := strconv.FormatUint(snap.Version(), 10)
 	w.Header().Set("ETag", `"`+v+`"`)
@@ -478,12 +503,15 @@ func (s *server) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 
 // handleQuery evaluates a transform query read from the body against
 // the current snapshot of the document, written by the topdown walk as
-// it decides it (Prepared.EvalTo) without building the result; see
-// writeStreamed for what a failure leaves. ?method= overrides the
-// engine's in-memory method for this one evaluation, on the node's one
-// engine (so a forced method shares its compiled-query cache), and
-// builds the result tree, as ?explain=1 does; ?stream=1 uses the two-pass
-// SAX evaluator instead, emitting output as it goes. Note that over an
+// it decides it (Prepared.EvalTo) without building the result, or
+// replayed from the answer the walk recorded over the same version on
+// an earlier request; X-Xtq-Answer-Source says which (walk, record or
+// replay). See writeStreamed for what a failure leaves. ?method=
+// overrides the engine's in-memory method for this one evaluation, on
+// the node's one engine (so a forced method shares its compiled-query
+// cache), and builds the result tree, as ?explain=1 does; ?stream=1
+// uses the two-pass SAX evaluator instead, emitting output as it goes;
+// neither records nor replays an answer. Note that over an
 // in-memory snapshot the streaming evaluator's two input passes each
 // read a serialization of the tree (Snapshot.Open): the chain's image
 // without a copy once tree-path queries have built it, a fresh buffer
@@ -565,7 +593,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// beside it, which prune the walk. Noted before the walk, so
 		// that read already gains.
 		snap.Image()
-		writeStreamed(w, snap, func(w io.Writer) error { return p.EvalTo(ctx, snap, w) })
+		writeStreamed(w, snap, func(out io.Writer) error {
+			aw := &answerWriter{w: out, h: w.Header(), tr: obs.TraceFrom(ctx)}
+			if err := p.EvalTo(ctx, snap, aw); err != nil {
+				return err
+			}
+			aw.source() // an empty answer writes no byte
+			return nil
+		})
 		return
 	}
 

@@ -311,7 +311,7 @@ func TestImageAcrossVersions(t *testing.T) {
 				t.Fatalf("commit %d (%s): query result through the image differs", k, q)
 			}
 			var b strings.Builder
-			if err := core.EmitTopDown(ctx, c, snap.Root(), &b); err != nil {
+			if _, err := core.EmitTopDown(ctx, c, snap.Root(), &b); err != nil {
 				t.Fatal(err)
 			}
 			if b.String() != want {

@@ -42,7 +42,7 @@ func emitOracle(t *testing.T, name string, q *Query, doc *tree.Node) {
 		t.Fatalf("%s: topdown %q, copyupdate %q", name, want.String(), w)
 	}
 	var got bytes.Buffer
-	if err := EmitTopDown(ctx, c, doc, &got); err != nil {
+	if _, err := EmitTopDown(ctx, c, doc, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.String() != want.String() {
@@ -127,7 +127,7 @@ func TestEmitTopDownEdgeCases(t *testing.T) {
 	}
 	d, _ := sax.ParseString(`<r><people><p/><p>x</p></people></r>`)
 	var b bytes.Buffer
-	if err := EmitTopDown(context.Background(), c, d, &b); err != nil || b.String() != `<r><people/></r>` {
+	if _, err := EmitTopDown(context.Background(), c, d, &b); err != nil || b.String() != `<r><people/></r>` {
 		t.Fatalf("got %q, %v; want <r><people/></r>", b.String(), err)
 	}
 }
@@ -211,7 +211,7 @@ func TestEmitTopDownStopsAtWriteError(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &failingWriter{}
-		if err := EmitTopDown(context.Background(), c, d, w); !errors.Is(err, errBroken) {
+		if _, err := EmitTopDown(context.Background(), c, d, w); !errors.Is(err, errBroken) {
 			t.Fatalf("%s: err = %v, want the writer's", path, err)
 		}
 		if w.calls != 1 {

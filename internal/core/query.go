@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"xtq/internal/automaton"
 	"xtq/internal/sax"
@@ -66,7 +67,18 @@ type Compiled struct {
 	// index owns it, so no result index claims it, and PathCopy copies it
 	// into a commit like any other non-member.
 	elem *tree.Node
+	// elemXML is elem's serialization, made on the first emit walk that
+	// writes it (never at Compile: commits compile on their hot path)
+	// and shared by every answer that holds the constant.
+	elemXML atomic.Pointer[[]byte]
+	// id names the compiled query in a chain's recorded answers (see
+	// tree.Index.ReadAnswer): unique per Compile, so a recording pins
+	// no query.
+	id uint64
 }
+
+// compiledIDs hands out Compiled.id.
+var compiledIDs atomic.Uint64
 
 // Compile validates the query and builds its selecting NFA.
 func (q *Query) Compile() (*Compiled, error) {
@@ -77,7 +89,7 @@ func (q *Query) Compile() (*Compiled, error) {
 	if err != nil {
 		return nil, xerr.Wrap(xerr.Compile, err)
 	}
-	c := &Compiled{Query: q, NFA: nfa}
+	c := &Compiled{Query: q, NFA: nfa, id: compiledIDs.Add(1)}
 	if q.Update.Elem != nil {
 		c.elem, _, _ = tree.Freeze(q.Update.Elem, nil)
 	}
@@ -89,6 +101,18 @@ func (q *Query) Compile() (*Compiled, error) {
 // their results, so Query.Update.Elem itself is never shared into one.
 // Treat it as read-only.
 func (c *Compiled) Elem() *tree.Node { return c.elem }
+
+// elemBytes returns the serialization of the update's constant, made
+// once. Concurrent first calls may each serialize it, but every caller
+// gets the one published slice: a recorder shares it by identity.
+func (c *Compiled) elemBytes() []byte {
+	if b := c.elemXML.Load(); b != nil {
+		return *b
+	}
+	b := []byte(c.elem.String())
+	c.elemXML.CompareAndSwap(nil, &b)
+	return *c.elemXML.Load()
+}
 
 // ParseQuery parses a transform query in surface syntax, e.g.
 //

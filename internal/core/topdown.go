@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"xtq/internal/automaton"
+	"xtq/internal/obs"
 	"xtq/internal/tree"
 	"xtq/internal/xerr"
 	"xtq/internal/xpath"
@@ -185,10 +186,11 @@ func (r *tdRun) processNode(n *tree.Node, s automaton.StateSet, depth int) (*tre
 // emitNode writes to e what processNode's result for n serializes to,
 // building nothing: an unchanged subtree goes out as e.Node(n), which
 // copies its image range, a deleted one as nothing, a replaced one as
-// the constant, and a renamed or inserted-into one as its own tags
-// around its children's output. open marks that a start tag has been
-// written whose '>' is still due: an element all of whose children are
-// deleted must close as "/>", so the '>' waits for its first content.
+// the constant's one serialization, and a renamed or inserted-into one
+// as its own tags around its children's output. open marks that a start
+// tag has been written whose '>' is still due: an element all of whose
+// children are deleted must close as "/>", so the '>' waits for its
+// first content.
 func (r *tdRun) emitNode(e *tree.Emitter, n *tree.Node, s automaton.StateSet, depth int) {
 	matched, below := r.visit(n, s, depth)
 	if r.can.Err() != nil {
@@ -201,7 +203,7 @@ func (r *tdRun) emitNode(e *tree.Emitter, n *tree.Node, s automaton.StateSet, de
 			return
 		case Replace:
 			r.content(e)
-			e.Node(r.c.elem)
+			e.Shared(r.c.elemBytes())
 			return
 		}
 	} else if below == nil {
@@ -229,7 +231,7 @@ func (r *tdRun) emitNode(e *tree.Emitter, n *tree.Node, s automaton.StateSet, de
 	}
 	if matched && u.Op == Insert {
 		r.content(e)
-		e.Node(r.c.elem)
+		e.Shared(r.c.elemBytes())
 	}
 	if r.open {
 		e.Raw("/>")
@@ -305,18 +307,38 @@ func EvalTopDown(ctx context.Context, c *Compiled, doc *tree.Node, check QualChe
 	return result, nil
 }
 
+// Answer says how EmitTopDown produced its output: by the walk alone,
+// by the walk recording what it wrote, or by replaying a recording.
+type Answer string
+
+// The answers of EmitTopDown.
+const (
+	AnswerWalk   Answer = "walk"
+	AnswerRecord Answer = "record"
+	AnswerReplay Answer = "replay"
+)
+
 // EmitTopDown writes to w exactly the bytes that sax.Emit of
 // EvalTopDown(ctx, c, doc, DirectChecker{}) writes, through one
 // tree.Emitter, without building the result: the same walk (visit)
 // decides every node, and emitNode writes what processNode would have
 // built. Unchanged subtrees go out as copies of their image ranges.
+//
+// A version never changes, so the answer over a version's own document
+// node is recorded and replayed (tree.Index.ReadAnswer): the first run
+// of c over the version notes it, the second, once the version's chain
+// has its image, records the walk's output, and every later run writes
+// the recording back, visiting no node. A run that fails or is
+// cancelled publishes nothing. The answer is returned, and set on the
+// context's trace before the first byte is written.
+//
 // The walk stops at the first write error, which it returns; a
 // cancelled ctx stops it at node granularity, and then the buffered
 // output is dropped, so a walk cancelled before 64 KiB of output has
-// written nothing to w.
-func EmitTopDown(ctx context.Context, c *Compiled, doc *tree.Node, w io.Writer) error {
+// written nothing to w. A replay checks ctx once, before it writes.
+func EmitTopDown(ctx context.Context, c *Compiled, doc *tree.Node, w io.Writer) (Answer, error) {
 	if ctx != nil && ctx.Err() != nil {
-		return xerr.Wrap(xerr.Eval, ctx.Err())
+		return AnswerWalk, xerr.Wrap(xerr.Eval, ctx.Err())
 	}
 	e := tree.NewEmitter(w)
 	if doc.Kind != tree.Document {
@@ -325,10 +347,26 @@ func EmitTopDown(ctx context.Context, c *Compiled, doc *tree.Node, w io.Writer) 
 		// differently from the walk below: write the built answer.
 		res, err := EvalTopDown(ctx, c, doc, DirectChecker{})
 		if err != nil {
-			return err
+			return AnswerWalk, err
 		}
 		e.Node(res)
-		return e.Flush()
+		return AnswerWalk, e.Flush()
+	}
+	rec, recorder := tree.IndexOf(doc).ReadAnswer(c.id)
+	answer := AnswerWalk
+	switch {
+	case rec != nil:
+		answer = AnswerReplay
+	case recorder != nil:
+		answer = AnswerRecord
+		e.Record(recorder)
+	}
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		tr.SetAnswer(string(answer))
+	}
+	if rec != nil {
+		rec.Emit(&e)
+		return answer, e.Flush()
 	}
 	r := newTDRun(ctx, c, doc, DirectChecker{})
 	s0 := c.NFA.InitialSet()
@@ -342,8 +380,14 @@ func EmitTopDown(ctx context.Context, c *Compiled, doc *tree.Node, w io.Writer) 
 			break
 		}
 		if err := r.can.Err(); err != nil {
-			return err
+			return answer, err
 		}
 	}
-	return e.Flush()
+	if err := e.Flush(); err != nil {
+		return answer, err
+	}
+	if recorder != nil {
+		recorder.Publish()
+	}
+	return answer, nil
 }

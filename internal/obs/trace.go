@@ -27,6 +27,9 @@ type Trace struct {
 	// method is the evaluation method actually used ("topdown", ...,
 	// "twopassSAX", or "composed" for single-pass view composition).
 	method string
+	// answer says how a transform query's written answer was produced
+	// ("walk", "record" or "replay"; see core.EmitTopDown).
+	answer string
 	// cacheKnown/cacheHit record the compiled-query cache outcome of the
 	// Prepare that fed this request.
 	cacheKnown bool
@@ -121,6 +124,21 @@ func (t *Trace) SetMethod(m string) {
 	t.mu.Lock()
 	t.method = m
 	t.mu.Unlock()
+}
+
+// SetAnswer records how a written transform answer was produced.
+func (t *Trace) SetAnswer(a string) {
+	t.mu.Lock()
+	t.answer = a
+	t.mu.Unlock()
+}
+
+// Answer returns how the written transform answer was produced, "" when
+// none was written.
+func (t *Trace) Answer() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.answer
 }
 
 // Method returns the recorded evaluation method.

@@ -27,7 +27,10 @@ import (
 // The chain's subtree label masks (see Index.Below) live beside the
 // image, not in it: a chain may hold masks without an image (a composed
 // view query reads the chain without copying its bytes), and building
-// an image publishes the masks too when the chain has none yet.
+// an image publishes the masks too when the chain has none yet. So do
+// the chain's recorded transform answers (see Index.ReadAnswer): each
+// is mostly ranges of the image, and the image's size is the budget of
+// all of them together, so a chain records only once it has an image.
 type Image struct {
 	data  []byte
 	spans []span // by ordinal; end == 0 means not covered
@@ -43,23 +46,22 @@ func (img *Image) Len() int { return len(img.data) }
 // when img (which may be nil) does not cover n. The slice aliases the
 // image: treat it as read-only.
 func (img *Image) Subtree(n *Node) []byte {
-	if found, b := imaged(n); found == img {
-		return b
+	if found, s := imaged(n); found == img && s.end != 0 {
+		return img.data[s.start:s.end:s.end]
 	}
 	return nil
 }
 
 // imaged returns the image of the chain that stamped n and n's range in
-// it, or a nil range when no image covers n.
-func imaged(n *Node) (img *Image, b []byte) {
+// it, or a zero range (end 0) when no image covers n.
+func imaged(n *Node) (img *Image, s span) {
 	if o := n.idx.Load(); o != nil && o.chain != nil {
 		img = o.chain.img.Load()
 	}
-	if img == nil || uint(n.ord) >= uint(len(img.spans)) || img.spans[n.ord].end == 0 {
-		return img, nil
+	if img == nil || uint(n.ord) >= uint(len(img.spans)) {
+		return img, span{}
 	}
-	s := img.spans[n.ord]
-	return img, img.data[s.start:s.end:s.end]
+	return img, img.spans[n.ord]
 }
 
 // Image returns the serialized image of ix's version chain, building it

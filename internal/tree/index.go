@@ -68,12 +68,14 @@ type Index struct {
 // chainID is an identity token shared by every version of one
 // path-copied document chain. Besides its pointer it carries the chain's
 // serialized image and its subtree label masks, each built at most once
-// (see Image and Below), and whether a read of the chain has been noted
-// (see ReadImage and ReadMasks).
+// (see Image and Below), whether a read of the chain has been noted
+// (see ReadImage and ReadMasks), and its table of recorded transform
+// answers (see ReadAnswer), made on first use.
 type chainID struct {
 	img   atomic.Pointer[Image]
 	below atomic.Pointer[[]uint64]
 	read  atomic.Bool
+	ans   atomic.Pointer[answers]
 }
 
 // indexMu serializes the first indexing of unstamped trees, so concurrent

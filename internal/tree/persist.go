@@ -74,9 +74,12 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		return syms.Intern(name)
 	}
 
-	// kept records the aliased subtree roots, where the walk counting the
-	// previous version's dropped nodes (below) prunes.
-	kept := make(map[*Node]struct{}, 8)
+	// kept marks, by ordinal, the aliased subtree roots, where the walk
+	// counting the previous version's dropped nodes (below) prunes. Every
+	// aliased node is a member of prev, so its ordinal is below
+	// prev.NumNodes; a bitset costs one bit per ordinal where a set of
+	// pointers rehashed with every few hundred children kept.
+	kept := make([]uint64, (prev.NumNodes+63)/64)
 
 	var (
 		stats CopyStats
@@ -119,7 +122,7 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 		for i, ch := range f.src.Children {
 			if prev.Contains(ch) {
 				f.dst.Children[i] = ch
-				kept[ch] = struct{}{}
+				kept[ch.ord/64] |= 1 << (ch.ord % 64)
 				continue
 			}
 			f.dst.Children[i] = alloc(ch, member)
@@ -136,13 +139,14 @@ func PathCopy(out *Node, prev *Index) (*Node, *Index, CopyStats) {
 	// Count the previous version's dropped nodes for Live: walk its tree
 	// from its root, pruning at every aliased subtree (those survive
 	// wholesale). Cost is O(spine + deleted), the same delta the copy
-	// itself paid.
+	// itself paid. A kept bit stands for a member of prev only: a node
+	// of another index may carry the same ordinal, or one past the set.
 	dropped := 0
 	stack = append(stack, frame{src: prev.Root})
 	for len(stack) > 0 {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if _, ok := kept[f.src]; ok {
+		if n := f.src; prev.Contains(n) && kept[n.ord/64]&(1<<(n.ord%64)) != 0 {
 			continue
 		}
 		dropped++

@@ -27,14 +27,28 @@ var emitBufs = sync.Pool{New: func() any { return new([emitBufSize]byte) }}
 // pooled: taken on the first write, returned by Flush (or left to the GC).
 // The first write error is sticky: output is dropped, walks stop at it.
 // Node copies every subtree a chain image covers (see Image).
+//
+// An Emitter may carry a Recorder (Record), which it hands every byte
+// it writes: each range Node copies from an image as that range, each
+// Shared slice by reference, and everything else as literal runs, taken
+// from the buffer when it spills or before a copy. Raw's fast path does
+// not change: a recorder costs nothing per call.
 type Emitter struct {
 	w   io.Writer
 	buf []byte // cap emitBufSize; nil before the first write and after Flush
 	err error
+	rec *Recorder
+	// mark is the first byte of buf that rec has not been handed yet.
+	mark int
 }
 
 // NewEmitter returns an Emitter writing to w.
 func NewEmitter(w io.Writer) Emitter { return Emitter{w: w} }
+
+// Record hands everything e writes from now on to r as well.
+func (e *Emitter) Record(r *Recorder) {
+	e.rec, e.mark = r, len(e.buf)
+}
 
 // Err returns the first error the underlying writer reported.
 func (e *Emitter) Err() error { return e.err }
@@ -52,6 +66,10 @@ func (e *Emitter) Flush() error {
 
 // spill empties the buffer into the writer, or drops it after an error.
 func (e *Emitter) spill() {
+	if e.rec != nil {
+		e.rec.literal(e.buf[e.mark:])
+		e.mark = 0
+	}
 	if len(e.buf) > 0 && e.err == nil {
 		_, e.err = e.w.Write(e.buf)
 	}
@@ -73,6 +91,9 @@ func (e *Emitter) rawSlow(s string) {
 	if e.makeRoom(len(s)) {
 		e.buf = append(e.buf, s...)
 	} else if e.err == nil {
+		if e.rec != nil {
+			e.rec.literal([]byte(s))
+		}
 		_, e.err = io.WriteString(e.w, s)
 	}
 }
@@ -97,8 +118,34 @@ func (e *Emitter) Bytes(b []byte) {
 	if e.makeRoom(len(b)) {
 		e.buf = append(e.buf, b...)
 	} else if e.err == nil {
+		if e.rec != nil {
+			e.rec.literal(b)
+		}
 		_, e.err = e.w.Write(b)
 	}
+}
+
+// Shared appends b, a slice its owner never changes (a query constant's
+// one serialization, written at every match): a recorder keeps a
+// reference to b instead of a copy of its bytes.
+func (e *Emitter) Shared(b []byte) {
+	if e.rec == nil {
+		e.Bytes(b)
+		return
+	}
+	e.rec.literal(e.buf[e.mark:])
+	e.rec.sharedBytes(b)
+	e.recorded(b)
+}
+
+// recorded appends b once the recorder has been handed the bytes
+// buffered before it and b itself, so that neither a spill nor a write
+// through hands them over again.
+func (e *Emitter) recorded(b []byte) {
+	r := e.rec
+	e.rec = nil
+	e.Bytes(b)
+	e.rec, e.mark = r, len(e.buf)
 }
 
 // Escape tables: the class of each byte, 0 for bytes copied as they are.
@@ -148,11 +195,18 @@ func (e *Emitter) EndTag(name string) {
 
 // Node appends the subtree rooted at n, stopping once a write has failed.
 // A node with children that its chain's image covers goes out as the
-// image's bytes (see Image).
+// image's bytes (see Image), handed to a recorder as the image's range.
 func (e *Emitter) Node(n *Node) {
 	if len(n.Children) > 0 {
-		if _, b := imaged(n); b != nil {
-			e.Bytes(b)
+		if img, s := imaged(n); s.end != 0 {
+			b := img.data[s.start:s.end:s.end]
+			if e.rec == nil {
+				e.Bytes(b)
+				return
+			}
+			e.rec.literal(e.buf[e.mark:])
+			e.rec.image(img, s)
+			e.recorded(b)
 			return
 		}
 	}

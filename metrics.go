@@ -1,6 +1,10 @@
 package xtq
 
-import "xtq/internal/obs"
+import (
+	"xtq/internal/core"
+	"xtq/internal/obs"
+	"xtq/internal/tree"
+)
 
 // Engine instruments on the process-wide obs registry. Cache counters
 // are labeled by which of the engine's three LRUs they describe
@@ -17,3 +21,21 @@ var (
 	mEvalSeconds = obs.Default.HistogramVec("xtq_engine_eval_seconds",
 		"In-memory evaluation latency by method.", "method")
 )
+
+// mQueryAnswers counts the transform answers EvalTo wrote, by how they
+// were produced; the three series are resolved once.
+var mQueryAnswers = func() map[core.Answer]*obs.Counter {
+	v := obs.Default.CounterVec("xtq_query_answers_total",
+		"Transform answers written by the topdown walk, by how they were produced (walk, record, replay).", "source")
+	m := make(map[core.Answer]*obs.Counter)
+	for _, a := range []core.Answer{core.AnswerWalk, core.AnswerRecord, core.AnswerReplay} {
+		m[a] = v.With(string(a))
+	}
+	return m
+}()
+
+func init() {
+	obs.Default.GaugeFunc("xtq_query_answer_bytes",
+		"Bytes charged to the recorded transform answers of every live version chain.",
+		func() float64 { return float64(tree.LiveAnswerBytes()) })
+}

@@ -72,11 +72,16 @@ func (p *Prepared) EvalWith(ctx context.Context, src Source, m Method) (*Node, e
 // writes the transformed document to w, exactly the bytes Eval's result
 // serializes to. Under MethodTopDown (and MethodAuto) the walk writes its
 // answer as it decides it and builds no result tree (core.EmitTopDown):
-// unchanged subtrees go out as copies from their chain's image. Any
-// other method runs Eval and serializes the result. The output is
-// buffered in 64 KiB spills, so a failure before the first spill has
-// written nothing to w; the first write error stops the walk and is
-// returned as KindIO. Cancellation is a KindEval error, as for Eval.
+// unchanged subtrees go out as copies from their chain's image. Over a
+// store snapshot the answer is also recorded, on the second run of this
+// Prepared over the version once its chain has an image, and every later
+// run replays the recording instead of walking; the context's trace says
+// which ("walk", "record" or "replay") before the first byte is written,
+// and a replay visits no node. Any other method runs Eval and serializes
+// the result. The output is buffered in 64 KiB spills, so a failure
+// before the first spill has written nothing to w; the first write error
+// stops the walk (or the replay) and is returned as KindIO. Cancellation
+// is a KindEval error, as for Eval.
 func (p *Prepared) EvalTo(ctx context.Context, src Source, w io.Writer) error {
 	if core.Resolve(p.eng.method) != core.MethodTopDown {
 		res, err := p.Eval(ctx, src)
@@ -90,9 +95,13 @@ func (p *Prepared) EvalTo(ctx context.Context, src Source, w io.Writer) error {
 		return err
 	}
 	start := time.Now()
-	err = core.EmitTopDown(ctx, p.compiled, doc, w)
+	answer, err := core.EmitTopDown(ctx, p.compiled, doc, w)
 	p.evaluated(ctx, m, start)
-	return classify(err, KindIO)
+	if err != nil {
+		return classify(err, KindIO)
+	}
+	mQueryAnswers[answer].Inc()
+	return nil
 }
 
 // begin is the part of an evaluation before the walk: it validates m,
