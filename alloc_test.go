@@ -186,7 +186,7 @@ func TestImageEmitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, _ := snap.Index().Image()
+	img := imageOf(snap.Index())
 	p, err := st.Engine().Prepare(`transform copy $a := doc("d") modify do insert <seen/> into $a/site/people/person[@id = "person10"] return $a`)
 	if err != nil {
 		t.Fatal(err)

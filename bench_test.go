@@ -248,7 +248,7 @@ func BenchmarkComposedUserQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap.Index().BuildMasks()
+	masksOf(snap.Index())
 	for i, pv := range prepareSecurityView(b) {
 		for _, leg := range []struct {
 			suffix string
@@ -608,7 +608,7 @@ func BenchmarkTransformQueries(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	snap.Index().Image()
+	imageOf(snap.Index())
 	var qs []*Query
 	for i := 1; i <= 10; i++ {
 		for _, op := range []core.Op{core.Insert, core.Delete, core.Rename, core.Replace} {
@@ -715,7 +715,7 @@ func BenchmarkSerialize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	img, _ := imaged.Index().Image()
+	img := imageOf(imaged.Index())
 	if copiesFromImage(doc, img) || copiesFromImage(doc, snap.Index().LoadImage()) {
 		b.Fatal("an image covers the walked document")
 	}
@@ -753,7 +753,7 @@ func BenchmarkSerialize(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	viewed.Index().Image()
+	imageOf(viewed.Index())
 	var imagedView *tree.Node
 	for i := 0; i < 3; i++ {
 		if imagedView, _, err = st.ViewAt(ctx, viewed, "v"); err != nil {

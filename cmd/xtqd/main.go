@@ -101,7 +101,7 @@ func main() {
 		// coarse label per proxy family — the patterns are the router's,
 		// not the data nodes').
 		rmux := http.NewServeMux()
-		rmux.HandleFunc("GET /metrics", serveMetrics(func() string { return "router" }))
+		rmux.HandleFunc("GET /metrics", serveMetrics(func() string { return "router" }, nil))
 		rmux.Handle("/", instrument("proxy", slow, rt))
 		handler = rmux
 		log.Printf("xtqd: routing %d shard(s)", len(shards))

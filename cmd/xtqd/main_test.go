@@ -422,7 +422,7 @@ func TestStreamMatchesTreeWithImage(t *testing.T) {
 // document answer the same bytes, walked (noting the pair), recorded
 // (the chain's second read, which builds its image) and replayed, as
 // X-Xtq-Answer-Source and xtq_query_answers_total say; the recording is
-// charged to xtq_query_answer_bytes. A commit gives a version that walks
+// charged to xtq_chain_derived_bytes{kind="answers"}. A commit gives a version that walks
 // again. ?method= and ?stream=1 build or stream their answers and set no
 // source.
 func TestQueryAnswerSource(t *testing.T) {
@@ -457,8 +457,8 @@ func TestQueryAnswerSource(t *testing.T) {
 			t.Fatalf("query %d differs from the first (%d vs %d bytes)", i+1, len(body), len(first))
 		}
 	}
-	if b := metricSample(t, ts.URL, `xtq_query_answer_bytes{role="primary"}`); b <= 0 {
-		t.Fatalf("xtq_query_answer_bytes = %v after a recording", b)
+	if b := metricSample(t, ts.URL, `xtq_chain_derived_bytes{kind="answers",role="primary"}`); b <= 0 {
+		t.Fatalf("xtq_chain_derived_bytes{kind=\"answers\"} = %v after a recording", b)
 	}
 	for _, path := range []string{"/docs/d/query?method=topdown", "/docs/d/query?stream=1"} {
 		code, hdr, body := do(t, "POST", ts.URL+path, q, nil)
@@ -481,11 +481,12 @@ func TestQueryAnswerSource(t *testing.T) {
 
 // TestMaintainedViewReadBuildsImage: a read of a maintained view is a
 // read of its base chain. The first GET walks, the second builds the
-// chain's image (one more xtq_store_image_builds_total) and the third
-// builds nothing; all three answer the same bytes. Composed ?q= reads
-// build no image, however often a document is read: the second builds
-// the chain's label masks (one xtq_store_mask_builds_total), and no
-// later one builds anything.
+// base chain's image (one more xtq_chain_derived_builds_total{kind=
+// "image"}) and the third only the view chain's own (see
+// TestMaintainedViewBuildsItsOwnImage); all three answer the same
+// bytes. Composed ?q= reads build no image, however often a document is
+// read: the second builds the chain's label masks (one build of kind
+// "masks"), and no later one builds anything.
 func TestMaintainedViewReadBuildsImage(t *testing.T) {
 	ts := newTestServer(t)
 	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
@@ -507,10 +508,12 @@ func TestMaintainedViewReadBuildsImage(t *testing.T) {
 	if code, _, body := do(t, "PUT", ts.URL+"/views/v", string(stack), nil); code != http.StatusCreated {
 		t.Fatalf("register view: %d %s", code, body)
 	}
-	builds := func() float64 { return metricSample(t, ts.URL, `xtq_store_image_builds_total{role="primary"}`) }
+	builds := func() float64 {
+		return metricSample(t, ts.URL, `xtq_chain_derived_builds_total{kind="image",role="primary"}`)
+	}
 	before := builds()
 	var first string
-	for i, want := range []float64{0, 1, 1} {
+	for i, want := range []float64{0, 1, 2} {
 		code, _, body := do(t, "GET", ts.URL+"/docs/d/views/v", "", nil)
 		if code != http.StatusOK || !strings.Contains(body, "<member ") {
 			t.Fatalf("view read %d: %d %.80q", i+1, code, body)
@@ -525,7 +528,9 @@ func TestMaintainedViewReadBuildsImage(t *testing.T) {
 		}
 	}
 	q := url.QueryEscape(`for $x in /site/people/member[@id = "person0"] return $x`)
-	masks := func() float64 { return metricSample(t, ts.URL, `xtq_store_mask_builds_total{role="primary"}`) }
+	masks := func() float64 {
+		return metricSample(t, ts.URL, `xtq_chain_derived_builds_total{kind="masks",role="primary"}`)
+	}
 	before, beforeMasks := builds(), masks()
 	for i := 0; i < 20; i++ {
 		if code, _, body := do(t, "GET", ts.URL+"/docs/e/views/v?q="+q, "", nil); code != http.StatusOK {
@@ -547,8 +552,9 @@ func TestMaintainedViewReadBuildsImage(t *testing.T) {
 // TestMaintainedViewBuildsItsOwnImage: the view's first read
 // materializes it, stamped in place as a chain of its own; the third
 // read (the second served from the cache entry) builds that chain's
-// image — one xtq_ivm_image_builds_total — and no later read, before or
-// after a delta-maintained commit, builds another.
+// image — one xtq_chain_derived_builds_total{kind="image"}, the base
+// chain's image being built before — and no later read, before or after
+// a delta-maintained commit, builds another.
 func TestMaintainedViewBuildsItsOwnImage(t *testing.T) {
 	ts := newTestServer(t)
 	doc, err := xmark.Generate(xmark.Config{Factor: 0.001, Seed: 42})
@@ -568,7 +574,16 @@ func TestMaintainedViewBuildsItsOwnImage(t *testing.T) {
 	if code, _, body := do(t, "PUT", ts.URL+"/views/v", string(stack), nil); code != http.StatusCreated {
 		t.Fatalf("register view: %d %s", code, body)
 	}
-	builds := func() float64 { return metricSample(t, ts.URL, `xtq_ivm_image_builds_total{role="primary"}`) }
+	for i := 0; i < 2; i++ {
+		// The base chain's second read builds its image.
+		q := `transform copy $a := doc("d") modify do delete $a` + queries.U[5] + ` return $a`
+		if code, _, body := do(t, "POST", ts.URL+"/docs/d/query", q, nil); code != http.StatusOK {
+			t.Fatalf("query %d: %d %.80q", i+1, code, body)
+		}
+	}
+	builds := func() float64 {
+		return metricSample(t, ts.URL, `xtq_chain_derived_builds_total{kind="image",role="primary"}`)
+	}
 	before := builds()
 	var first string
 	for i, want := range []float64{0, 0, 1, 1, 1} {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"xtq"
 	"xtq/internal/obs"
 )
 
@@ -25,6 +26,10 @@ var (
 		"HTTP requests currently being served.")
 	mSlowQueries = obs.Default.Counter("xtqd_slow_queries_total",
 		"Requests on evaluating routes that exceeded -slow-query-ms.")
+	// mDerivedBytes is read from the node's store at scrape time
+	// (xtq.Store.DerivedBytes).
+	mDerivedBytes = obs.Default.GaugeVec("xtq_chain_derived_bytes",
+		"Bytes of derived state (chain images, label masks, recorded transform answers) held by the chains of the stored documents and maintained views, by kind.", "kind")
 )
 
 // statusWriter captures the response status for the request metrics
@@ -147,10 +152,15 @@ func ms(d time.Duration) float64 {
 
 // serveMetrics returns the GET /metrics handler: the process registry
 // in Prometheus text exposition, every sample stamped with the node's
-// role. role is a func because a follower's role flips to primary on
-// promotion.
-func serveMetrics(role func() string) http.HandlerFunc {
+// role, after reading what st (nil on a router) holds. role is a func
+// because a follower's role flips to primary on promotion.
+func serveMetrics(role func() string, st *xtq.Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		if st != nil {
+			for kind, n := range st.DerivedBytes() {
+				mDerivedBytes.With(kind).Set(n)
+			}
+		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		obs.Default.WriteTo(w, obs.Label{Name: "role", Value: role()})
 	}

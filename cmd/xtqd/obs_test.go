@@ -205,10 +205,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtqd_http_requests_total", "xtqd_http_request_seconds",
 		"xtqd_http_in_flight", "xtqd_slow_queries_total",
 		"xtq_engine_eval_seconds", "xtq_store_commit_seconds",
-		"xtq_store_image_builds_total", "xtq_store_image_bytes_total",
-		"xtq_store_mask_builds_total",
-		"xtq_ivm_image_builds_total", "xtq_ivm_image_bytes_total",
-		"xtq_query_answers_total", "xtq_query_answer_bytes",
+		"xtq_chain_derived_builds_total", "xtq_chain_derived_bytes",
+		"xtq_query_answers_total",
 	} {
 		if _, ok := types[fam]; !ok {
 			t.Errorf("family %s missing from /metrics", fam)

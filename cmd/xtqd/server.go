@@ -14,6 +14,7 @@ import (
 	"xtq"
 	"xtq/internal/obs"
 	"xtq/internal/sax"
+	"xtq/internal/tree"
 )
 
 // server routes HTTP requests onto one xtq.Store. All handlers are
@@ -77,7 +78,7 @@ func buildServer(st *xtq.Store, fol *xtq.Follower, timeout time.Duration, maxBod
 	}
 	// /metrics stays outside the middleware: scrapes should not show up
 	// in the request metrics they read.
-	mux.HandleFunc("GET /metrics", serveMetrics(s.role))
+	mux.HandleFunc("GET /metrics", serveMetrics(s.role, st))
 	handle("GET /healthz", s.handleHealth)
 	handle("GET /docs", s.handleListDocs)
 	handle("PUT /docs/{name}", s.handlePutDoc)
@@ -588,11 +589,9 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if method == "" && !explain {
-		// A query reads the snapshot's chain: its second read builds the
-		// image, whose ranges the walk copies, and the label masks
-		// beside it, which prune the walk. Noted before the walk, so
-		// that read already gains.
-		snap.Image()
+		// EvalTo reads the snapshot's chain before it walks (see
+		// tree.Index.Read), so the read that builds the image already
+		// copies from it and prunes with its label masks.
 		writeStreamed(w, snap, func(out io.Writer) error {
 			aw := &answerWriter{w: out, h: w.Header(), tr: obs.TraceFrom(ctx)}
 			if err := p.EvalTo(ctx, snap, aw); err != nil {
@@ -624,7 +623,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, out)
 		return
 	}
-	snap.Image() // a forced method reads the chain too
+	snap.Index().Read(tree.NeedImage) // a forced method reads the chain too
 	writeResult(w, snap, res)
 }
 
@@ -762,7 +761,7 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 		// its second read builds the chain's label masks, which prune
 		// the walk, and no image. Noted before the walk, so that read
 		// already gains.
-		snap.ReadMasks()
+		snap.Index().Read(tree.NeedMasks)
 		out, stats, err := pv.Eval(ctx, snap)
 		if err != nil {
 			writeError(w, err)
@@ -813,7 +812,7 @@ func (s *server) handleDocView(w http.ResponseWriter, r *http.Request) {
 		// reads the base chain like a query; a small ?q= result does
 		// not, and earns the chain only the label masks beside the image
 		// (noted above).
-		snap.Image()
+		snap.Index().Read(tree.NeedImage)
 	}
 	writeResult(w, snap, res)
 }

@@ -37,6 +37,20 @@ func emitted(t *testing.T, n *tree.Node) string {
 // no chain covers.
 func walked(t *testing.T, n *tree.Node) string { return emitted(t, n.DeepCopy()) }
 
+// imageOf reads ix's chain twice, which builds its image, and returns it.
+func imageOf(ix *tree.Index) *tree.Image {
+	ix.Read(tree.NeedImage)
+	return ix.Read(tree.NeedImage)
+}
+
+// masksOf reads ix's chain twice as a composed query does, which builds
+// its label masks and no image, and reports whether the chain has masks.
+func masksOf(ix *tree.Index) bool {
+	ix.Read(tree.NeedMasks)
+	ix.Read(tree.NeedMasks)
+	return ix.HasMasks()
+}
+
 // copiesFromImage reports whether img covers some node of the tree at n,
 // i.e. whether emitting n copies at least one subtree from it.
 func copiesFromImage(n *tree.Node, img *tree.Image) bool {
@@ -77,7 +91,7 @@ func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, _ := snap.Index().Image()
+		img := imageOf(snap.Index())
 		for i := 1; i <= 10; i++ {
 			for _, op := range allOps {
 				c, err := queries.TransformOp(i, op).Compile()
@@ -155,7 +169,7 @@ func TestImageEmitMatchesCopyUpdate(t *testing.T) {
 		if step == 1 {
 			// Imaged between the two commits: the delete's version
 			// shares every subtree the image covers but the new spine.
-			img, _ = snap.Index().Image()
+			img = imageOf(snap.Index())
 		}
 		res, stats, err := st.ViewAt(ctx, snap, "v")
 		if err != nil {
@@ -231,7 +245,7 @@ func TestImageAcrossVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, _ := snap.Index().Image()
+	img := imageOf(snap.Index())
 	reads := []*core.Compiled{}
 	for _, q := range []string{
 		`transform copy $a := doc("d") modify do rename $a//pname as label return $a`,
@@ -306,7 +320,7 @@ func TestImageAcrossVersions(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := walked(t, oracle)
-			snap.Image() // the compaction's new chain is imaged on its second read
+			snap.Index().Read(tree.NeedImage) // the compaction's new chain is imaged on its second read
 			if got := emitted(t, res); got != want {
 				t.Fatalf("commit %d (%s): query result through the image differs", k, q)
 			}

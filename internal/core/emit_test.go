@@ -50,6 +50,12 @@ func emitOracle(t *testing.T, name string, q *Query, doc *tree.Node) {
 	}
 }
 
+// imageOf reads ix's chain twice, which builds its image.
+func imageOf(ix *tree.Index) {
+	ix.Read(tree.NeedImage)
+	ix.Read(tree.NeedImage)
+}
+
 // updates returns p's transform under every update kind.
 func updates(p *xpath.Path) []*Query {
 	elem := tree.NewElement("new", tree.NewText("x&y"))
@@ -62,8 +68,9 @@ func updates(p *xpath.Path) []*Query {
 }
 
 // TestEmitTopDownMatchesTreeRandom: random documents and random paths
-// under every update kind, over the plain tree and over a frozen chain
-// whose image (and label masks) is built.
+// under every update kind, over the plain tree and over a frozen chain:
+// one whose image (and label masks) is built, or, on odd seeds, a fresh
+// one per query, which the query reads first and so walks unimaged.
 func TestEmitTopDownMatchesTreeRandom(t *testing.T) {
 	genOpts := tree.DefaultGenOptions()
 	cfg := xpath.DefaultGenConfig()
@@ -76,9 +83,12 @@ func TestEmitTopDownMatchesTreeRandom(t *testing.T) {
 		}
 		root, ix, _ := tree.Freeze(d, nil)
 		if seed%2 == 0 {
-			ix.Image()
+			imageOf(ix)
 		}
 		for _, q := range updates(p) {
+			if seed%2 == 1 {
+				root, _, _ = tree.Freeze(d, nil)
+			}
 			name := fmt.Sprintf("seed %d %s %s", seed, q.Update.Op, p)
 			emitOracle(t, name, q, d)
 			emitOracle(t, name+" (chain)", q, root)
@@ -113,7 +123,7 @@ func TestEmitTopDownEdgeCases(t *testing.T) {
 			t.Fatal(err)
 		}
 		root, ix, _ := tree.Freeze(d, nil)
-		ix.Image()
+		imageOf(ix)
 		for _, q := range updates(xpath.MustParse(tc.path)) {
 			name := fmt.Sprintf("%s %s on %s", q.Update.Op, tc.path, tc.doc)
 			emitOracle(t, name, q, d)
@@ -147,7 +157,7 @@ func TestEmitTopDownManyLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	root, ix, _ := tree.Freeze(d, nil)
-	ix.Image()
+	imageOf(ix)
 	for _, path := range []string{`//m3`, `//l64`, `/r/g1//m100`, `//l65/m`, `//g2//l130`, `//m149`} {
 		for _, q := range updates(xpath.MustParse(path)) {
 			name := fmt.Sprintf("%s %s", q.Update.Op, path)
@@ -165,15 +175,14 @@ func TestEmitTopDownForeignSubtree(t *testing.T) {
 	for _, stamp := range []bool{false, true} {
 		other, _ := sax.ParseString(`<o><only><deep>x</deep></only><a/></o>`)
 		oroot, oix, _ := tree.Freeze(other, nil)
-		oix.Image()
+		imageOf(oix)
 		shared := oroot.Children[0]
 		d := tree.NewDocument(tree.NewElement("r",
 			tree.NewElement("a", tree.NewElement("b")),
 			tree.NewElement("wrap", shared),
 		))
 		if stamp {
-			ix := tree.StampChain(d)
-			ix.Image()
+			imageOf(tree.StampChain(d))
 		} else {
 			tree.EnsureIndex(d)
 		}

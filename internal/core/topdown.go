@@ -325,12 +325,13 @@ const (
 // built. Unchanged subtrees go out as copies of their image ranges.
 //
 // A version never changes, so the answer over a version's own document
-// node is recorded and replayed (tree.Index.ReadAnswer): the first run
-// of c over the version notes it, the second, once the version's chain
-// has its image, records the walk's output, and every later run writes
-// the recording back, visiting no node. A run that fails or is
-// cancelled publishes nothing. The answer is returned, and set on the
-// context's trace before the first byte is written.
+// node is recorded and replayed (tree.Index.ReadAnswer, which also notes
+// the read of the version's chain, so the chain's second read builds
+// its image): the first run of c over the version notes it, the second,
+// once the chain has its image, records the walk's output, and every
+// later run writes the recording back, visiting no node. A run that
+// fails or is cancelled publishes nothing. The answer is returned, and
+// set on the context's trace before the first byte is written.
 //
 // The walk stops at the first write error, which it returns; a
 // cancelled ctx stops it at node granularity, and then the buffered

@@ -74,7 +74,7 @@ type matEntry struct {
 	// delta-maintained versions since then keep splicing; nil when that
 	// materialization created no node. Delta versions are left
 	// unstamped, so the chain never widens. Reads served from the entry
-	// build the chain's image on its second read (noteChainRead).
+	// read the chain (tree.Index.Read), building its image on its second.
 	chain *tree.Index
 
 	deltaCommits, fullCommits int
@@ -337,6 +337,23 @@ func (e *matEntry) installFull(version uint64, out *tree.Node, memo *compose.Mem
 	e.lastStats = stats
 }
 
+// Account adds to a the view chains of the manager's materializations.
+// The entries are read after m.mu is released: OnCommit takes m.mu
+// while holding an entry's lock.
+func (m *Manager) Account(a *tree.Account) {
+	m.mu.Lock()
+	mats := make([]*matEntry, 0, len(m.mats))
+	for _, e := range m.mats {
+		mats = append(mats, e)
+	}
+	m.mu.Unlock()
+	for _, e := range mats {
+		e.mu.Lock()
+		a.Add(e.chain)
+		e.mu.Unlock()
+	}
+}
+
 // Get serves the materialization of view over snap. A read at the
 // maintained version is a cache hit. Any other read runs by delta
 // against the entry's memo, with the snapshot as its own bridge: memo
@@ -362,7 +379,7 @@ func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*
 			out, chain := e.tree, e.chain
 			fillStats(&st, e, "cache")
 			e.mu.Unlock()
-			noteChainRead(chain)
+			chain.Read(tree.NeedImage)
 			noteRead(ctx, st)
 			return out, st, nil
 		}
@@ -398,7 +415,7 @@ func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*
 		chain := e.chain
 		e.mu.Unlock()
 		if delta {
-			noteChainRead(chain)
+			chain.Read(tree.NeedImage)
 		}
 		st.Source = source
 		statsFromEval(&st, vs)
@@ -421,7 +438,7 @@ func (m *Manager) Get(ctx context.Context, snap *store.Snapshot, view string) (*
 	chain := e.chain
 	e.mu.Unlock()
 	if delta {
-		noteChainRead(chain)
+		chain.Read(tree.NeedImage)
 	}
 	noteRead(ctx, st)
 	return out, st, nil

@@ -261,15 +261,14 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 }
 
 // childOf resolves (creating if absent) the child with the given label
-// values.
+// values. A family's label count is fixed, so a one-label family keys
+// its children by the value itself (labelKey), and resolving one that
+// exists allocates nothing.
 func (r *Registry) childOf(f *family, values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := ""
-	for _, v := range values {
-		key += v + "\x1f"
-	}
+	key := labelKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c := f.byKey[key]; c != nil {

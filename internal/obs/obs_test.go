@@ -82,6 +82,24 @@ func TestVecChildren(t *testing.T) {
 	}
 }
 
+// TestVecWithExistingChildAllocs: resolving an existing child of a
+// one-label family — what every evaluation, commit and view read does —
+// allocates nothing.
+func TestVecWithExistingChildAllocs(t *testing.T) {
+	r := NewRegistry()
+	h := r.HistogramVec("test_eval_seconds", "eval", "method")
+	c := r.CounterVec("test_reads_total", "reads", "source")
+	h.With("topdown")
+	c.With("cache")
+	method, source := "topdown", "cache"
+	if n := testing.AllocsPerRun(100, func() {
+		h.With(method).Observe(time.Microsecond)
+		c.With(source).Inc()
+	}); n != 0 {
+		t.Fatalf("With on existing one-label children allocates %v times", n)
+	}
+}
+
 func TestRegistryVersionAdvances(t *testing.T) {
 	r := NewRegistry()
 	v0 := r.Version()

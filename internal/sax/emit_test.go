@@ -93,7 +93,8 @@ var serializers = []serializer{
 		if err != nil {
 			return err
 		}
-		snap.Index().Image()
+		snap.Index().Read(tree.NeedImage)
+		snap.Index().Read(tree.NeedImage)
 		return snap.WriteXML(w)
 	}},
 	{"sax.Emit (new root over three chains, two imaged)", func(doc *tree.Node, w io.Writer) error {
@@ -107,7 +108,8 @@ var serializers = []serializer{
 			var ix *tree.Index
 			roots[i], ix, _ = tree.Freeze(doc, nil)
 			if i < 2 {
-				ix.Image()
+				ix.Read(tree.NeedImage)
+				ix.Read(tree.NeedImage)
 			}
 		}
 		fresh := func(n *tree.Node) *tree.Node {

@@ -7,11 +7,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"xtq/internal/tree"
 )
 
 // TestSnapshotImageCountsBuildsAndServesOpen: the first read of a chain
-// builds no image and the second does; only the call that builds is
-// counted; later versions of the chain share the image; Open serves the
+// builds no image and the second does; the store accounts that one
+// image; later versions of the chain share the image; Open serves the
 // covered root straight from the image and everything else through it,
 // with the same bytes as WriteXML.
 func TestSnapshotImageCountsBuildsAndServesOpen(t *testing.T) {
@@ -39,14 +41,17 @@ func TestSnapshotImageCountsBuildsAndServesOpen(t *testing.T) {
 		t.Fatal("Open or Put built an image")
 	}
 
-	builds, size := mImageBuilds.Value(), mImageBytes.Value()
-	if snap.Image() != nil || snap.Index().LoadImage() != nil || mImageBuilds.Value() != builds {
+	held := func() int64 {
+		var a tree.Account
+		st.Account(&a)
+		return a.Bytes[tree.DerivedImage]
+	}
+	if snap.Index().Read(tree.NeedImage) != nil || snap.Index().LoadImage() != nil || held() != 0 {
 		t.Fatal("the first read of the chain built an image")
 	}
-	img := snap.Image()
-	if img == nil || snap.Image() != img || mImageBuilds.Value() != builds+1 || mImageBytes.Value() != size+uint64(len(partsXML)) {
-		t.Fatalf("image builds %d -> %d, bytes %d -> %d: want one build of %d bytes",
-			builds, mImageBuilds.Value(), size, mImageBytes.Value(), len(partsXML))
+	img := snap.Index().Read(tree.NeedImage)
+	if img == nil || snap.Index().Read(tree.NeedImage) != img || held() != int64(len(partsXML)) {
+		t.Fatalf("the store holds %d image bytes: want one image of %d bytes", held(), len(partsXML))
 	}
 	if got := read(snap); got != partsXML {
 		t.Fatalf("Open through the image = %q", got)
@@ -56,7 +61,7 @@ func TestSnapshotImageCountsBuildsAndServesOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Image() != img || mImageBuilds.Value() != builds+1 {
+	if next.Index().Read(tree.NeedImage) != img || held() != int64(len(partsXML)) {
 		t.Fatal("a later version of the chain built a second image")
 	}
 	var want strings.Builder
@@ -82,7 +87,8 @@ func TestImageRetiredWithItsChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	collected := make(chan struct{})
-	img, _ := snap.Index().Image()
+	snap.Index().Read(tree.NeedImage)
+	img := snap.Index().Read(tree.NeedImage)
 	runtime.SetFinalizer(img, func(any) { close(collected) })
 	img = nil
 

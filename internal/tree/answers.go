@@ -3,16 +3,12 @@ package tree
 import (
 	"bytes"
 	"math"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// A version never changes, so a transform query's answer over it — the
-// bytes one topdown walk writes — is a pure function of the query and
-// the version. A version chain keeps, beside its image and label masks,
-// a table of such answers recorded from the walk's own output and
-// replayed on later reads of the same (query, version) pair:
+// A chain's recorded answers (see chainID): a transform query's answer
+// over a version — the bytes one topdown walk writes — is a pure
+// function of the query and the version.
 //
 //   - The first read of a pair only notes it. The second, over a chain
 //     that has its image, records the walk's output into a Recorder
@@ -24,9 +20,7 @@ import (
 //     bytes (what the walk wrote itself), and occurrences of one shared
 //     byte slice (the query's constant, see Emitter.Shared).
 //   - A Recording holds no tree node, only bytes, so it dies with the
-//     chain. The table of one chain holds at most its image's byte
-//     count in notes and recordings together, evicting the oldest entry
-//     first; a chain without an image holds one note.
+//     chain. The table evicts its oldest entry first to fit its budget.
 //   - A pair is keyed by the query's id and the version's epoch: every
 //     published version of a chain has its own epoch (a commit's result
 //     that loses the store's CAS is never read).
@@ -223,44 +217,14 @@ type answers struct {
 	m    map[answerKey]answer
 	fifo []answerKey // every key of m, oldest first
 	used int         // charged bytes of all entries
-	live int         // charged bytes of the recordings
-}
-
-// answerBytes is the charge of every recording on a live chain.
-var answerBytes atomic.Int64
-
-// LiveAnswerBytes returns the bytes the recorded answers of every live
-// chain are charged (segments, literal bytes and per-entry overhead).
-// A chain's share leaves it when the collector frees the chain.
-func LiveAnswerBytes() int64 { return answerBytes.Load() }
-
-// AnswerBytes returns the bytes charged to the recorded answers of ix's
-// chain, and the bytes its notes and recordings are charged together.
-func (ix *Index) AnswerBytes() (recorded, total int) {
-	if ix == nil || ix.chain == nil {
-		return 0, 0
-	}
-	t := ix.chain.ans.Load()
-	if t == nil {
-		return 0, 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.live, t.used
 }
 
 // answersOf returns c's table, creating it on first use.
 func (c *chainID) answersOf() *answers {
-	if t := c.ans.Load(); t != nil {
-		return t
+	if t := c.ans.Load(); t == nil {
+		c.ans.CompareAndSwap(nil, &answers{m: make(map[answerKey]answer)})
 	}
-	t := &answers{m: make(map[answerKey]answer)}
-	if !c.ans.CompareAndSwap(nil, t) {
-		return c.ans.Load()
-	}
-	// A chain's recordings leave the gauge with it.
-	runtime.SetFinalizer(t, func(t *answers) { answerBytes.Add(-int64(t.live)) })
-	return t
+	return c.ans.Load()
 }
 
 // budget returns the bytes the table of a chain whose image is img
@@ -272,21 +236,22 @@ func budget(img *Image) int {
 	return entryBytes
 }
 
-// ReadAnswer looks up the answer of the query with id query (nonzero)
-// over ix's version. It returns the recording to replay when one is
-// published, or a recorder when the pair was noted before and the
-// chain has its image; otherwise it notes the pair, and both results
-// are nil. ix must be a version's own index (see Image); for any other
-// index, nil included, both results are nil and nothing is noted.
+// ReadAnswer notes a read of ix's chain that needs its image (Read), and
+// looks up the answer of the query with id query (nonzero) over ix's
+// version. It returns the recording to replay when one is published, or
+// a recorder when the pair was noted before and the chain has its
+// image; otherwise it notes the pair, and both results are nil. ix must
+// be a version's own index (see Read); for any other index, nil
+// included, both results are nil and nothing is noted.
 func (ix *Index) ReadAnswer(query uint64) (*Recording, *Recorder) {
 	if ix == nil || ix.chain == nil || ix.Root == nil || query == 0 {
 		return nil, nil
 	}
+	img := ix.Read(NeedImage)
 	key := answerKey{query, ix.epoch}
 	t := ix.chain.answersOf()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	img := ix.chain.img.Load()
 	a, noted := t.m[key]
 	switch {
 	case !noted:
@@ -305,10 +270,11 @@ func (ix *Index) ReadAnswer(query uint64) (*Recording, *Recorder) {
 func (t *answers) publish(key answerKey, rec *Recording, budget int) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.m[key].rec != nil {
+	if t.m[key].rec != nil || !t.put(key, rec, rec.size(), budget) {
 		return false
 	}
-	return t.put(key, rec, rec.size(), budget)
+	mBuilds[DerivedAnswers].Inc()
+	return true
 }
 
 // put sets key's entry to rec (nil for a note) charged size, evicting
@@ -320,7 +286,7 @@ func (t *answers) put(key answerKey, rec *Recording, size, budget int) bool {
 		return false
 	}
 	if a, ok := t.m[key]; ok {
-		t.uncharge(a)
+		t.used -= a.size
 		t.m[key] = answer{}
 	}
 	for t.used+size > budget {
@@ -331,10 +297,6 @@ func (t *answers) put(key answerKey, rec *Recording, size, budget int) bool {
 	}
 	t.m[key] = answer{rec, size}
 	t.used += size
-	if rec != nil {
-		t.live += size
-		answerBytes.Add(int64(size))
-	}
 	return true
 }
 
@@ -342,15 +304,6 @@ func (t *answers) put(key answerKey, rec *Recording, size, budget int) bool {
 func (t *answers) evictOldest() {
 	key := t.fifo[0]
 	t.fifo = t.fifo[1:]
-	t.uncharge(t.m[key])
+	t.used -= t.m[key].size
 	delete(t.m, key)
-}
-
-// uncharge takes a's charge off the table. t.mu is held.
-func (t *answers) uncharge(a answer) {
-	t.used -= a.size
-	if a.rec != nil {
-		t.live -= a.size
-		answerBytes.Add(-int64(a.size))
-	}
 }

@@ -14,7 +14,7 @@ import (
 func imagedChain(t *testing.T, root *Node) (*Index, *Node) {
 	t.Helper()
 	doc, ix, _ := Freeze(NewDocument(root), nil)
-	if img, _ := ix.Image(); img == nil || img.Len() == 0 {
+	if img := imageOf(ix); img == nil || img.Len() == 0 {
 		t.Fatal("no image")
 	}
 	return ix, doc.Children[0]
@@ -95,8 +95,9 @@ func TestRecorderSegments(t *testing.T) {
 	if replay.String() != out.String() {
 		t.Fatalf("replay %q, walk %q", replay.String(), out.String())
 	}
-	if recorded, _ := ix.AnswerBytes(); recorded != rec.size() {
-		t.Fatalf("chain charged %d bytes, the recording is %d", recorded, rec.size())
+	var a Account
+	if a.Add(ix); a.Bytes[DerivedAnswers] != int64(rec.size()) {
+		t.Fatalf("chain charged %d bytes, the recording is %d", a.Bytes[DerivedAnswers], rec.size())
 	}
 }
 
@@ -173,26 +174,30 @@ func TestRecorderSplitsLongRanges(t *testing.T) {
 	}
 }
 
-// TestAnswerTableBudget: notes and recordings of random pairs over one
-// chain never hold more than its image's size, evict oldest first, and
-// keep the table's order, map and charges in step; a chain without an
-// image holds one note.
+// TestAnswerTableBudget: the first read of a chain notes its pair, and
+// the chain holds that one note and no image; the second builds the
+// image, after which the first pair records. Notes and recordings of
+// random pairs over one chain never hold more than its image's size,
+// evict oldest first, and keep the table's order, map and charge in
+// step.
 func TestAnswerTableBudget(t *testing.T) {
 	var kids []*Node
 	for i := 0; i < 200; i++ {
 		kids = append(kids, NewElement("p", NewText(fmt.Sprint(i))))
 	}
 	_, bare, _ := Freeze(NewDocument(NewElement("r", kids...)), nil)
-	for q := uint64(1); q <= 5; q++ {
-		if rec, r := bare.ReadAnswer(q); rec != nil || r != nil {
-			t.Fatal("a chain without an image recorded")
-		}
-		if _, total := bare.AnswerBytes(); total != entryBytes {
-			t.Fatalf("a chain without an image holds %d bytes of notes", total)
-		}
+	if rec, r := bare.ReadAnswer(1); rec != nil || r != nil || bare.LoadImage() != nil {
+		t.Fatal("the chain's first read did more than note its pair")
 	}
-	if _, r := bare.ReadAnswer(5); r != nil {
-		t.Fatal("a chain without an image hands out a recorder")
+	var a Account
+	if a.Add(bare); a.Bytes[DerivedAnswers] != entryBytes {
+		t.Fatalf("a chain without an image holds %d bytes of notes", a.Bytes[DerivedAnswers])
+	}
+	if rec, r := bare.ReadAnswer(2); rec != nil || r != nil || bare.LoadImage() == nil {
+		t.Fatal("the chain's second read must build its image and only note its pair")
+	}
+	if _, r := bare.ReadAnswer(1); r == nil {
+		t.Fatal("a pair noted before the image was built does not record")
 	}
 
 	ix, _ := imagedChain(t, NewElement("r", kids...))
@@ -211,17 +216,14 @@ func TestAnswerTableBudget(t *testing.T) {
 		}
 		tab := ix.chain.ans.Load()
 		tab.mu.Lock()
-		live, used := 0, 0
+		used := 0
 		for _, a := range tab.m {
 			used += a.size
-			if a.rec != nil {
-				live += a.size
-			}
 		}
-		ok := used == tab.used && live == tab.live && used <= budget && len(tab.fifo) == len(tab.m)
+		ok := used == tab.used && used <= budget && len(tab.fifo) == len(tab.m)
 		tab.mu.Unlock()
 		if !ok {
-			t.Fatalf("step %d: table out of step (used %d/%d, live %d/%d, budget %d)", step, used, tab.used, live, tab.live, budget)
+			t.Fatalf("step %d: table out of step (used %d/%d, budget %d)", step, used, tab.used, budget)
 		}
 	}
 }

@@ -51,7 +51,7 @@ func TestDeepDocumentOps(t *testing.T) {
 	// emitter copies the subtrees it covers: a result whose new spine sits
 	// over the old chain is emitted without descending it.
 	froot, fix, _ := Freeze(d, nil)
-	img, _ := fix.Image()
+	img := imageOf(fix)
 	if img == nil || img.Len() != len(img.Subtree(froot)) {
 		t.Fatal("image of the deep document does not cover its root")
 	}

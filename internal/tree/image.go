@@ -5,32 +5,16 @@ import (
 	"math"
 )
 
-// Image is the serialized form of one version of a document chain: the
-// bytes Emitter.Node writes for the version's root, plus the byte range
-// of every element or document node with children, by ordinal. Every
-// Emitter finds the image of the chain that stamped each node it emits
-// and copies the node's range instead of walking and escaping the
-// subtree, so a tree mixing subtrees of several imaged chains (a query
-// or view result over a snapshot) goes out mostly as copied bytes.
-//
-// One image serves every version of its chain, and no commit invalidates
-// it: a stamped node's subtree never changes, and an ordinal is never
-// reused within a chain. A node no image covers is walked as usual: an
-// unstamped one, one of a chain without an image, one created after the
-// image (its tail ordinal is past the table), or one not reachable in
-// the imaged version (its range was never set). Compaction starts a new
-// chain, which has no image until one is built from it. A materialized
-// view stamped in place (StampChain) is a chain too: its image covers
-// the nodes the view created, and a later view version that splices
-// them copies their bytes.
-//
-// The chain's subtree label masks (see Index.Below) live beside the
-// image, not in it: a chain may hold masks without an image (a composed
-// view query reads the chain without copying its bytes), and building
-// an image publishes the masks too when the chain has none yet. So do
-// the chain's recorded transform answers (see Index.ReadAnswer): each
-// is mostly ranges of the image, and the image's size is the budget of
-// all of them together, so a chain records only once it has an image.
+// Image is the serialized form of one version of a chain (see chainID):
+// the bytes Emitter.Node writes for the version's root, plus the byte
+// range of every element or document node with children, by ordinal.
+// An Emitter finds the image of the chain that stamped each node it
+// emits, so a tree mixing subtrees of several imaged chains (a query or
+// view result over a snapshot) goes out mostly as copied bytes. A node
+// no image covers is walked: an unstamped one, one of a chain without
+// an image, one past the table or one the imaged version does not
+// reach. A serialization larger than 4 GiB, which uint32 ranges cannot
+// address, gives an image covering nothing.
 type Image struct {
 	data  []byte
 	spans []span // by ordinal; end == 0 means not covered
@@ -62,54 +46,6 @@ func imaged(n *Node) (img *Image, s span) {
 		return img, span{}
 	}
 	return img, img.spans[n.ord]
-}
-
-// Image returns the serialized image of ix's version chain, building it
-// from ix.Root when the chain has none yet, and the chain's label masks
-// first when it has none either (BuildMasks); built reports whether
-// this call published the image it returns. Concurrent first calls may
-// each build one, but exactly one is published and every caller gets
-// it. ix must be a version's own index (Adopt, Freeze, PathCopy,
-// StampChain); for any other index the result is nil. A view chain's
-// image (StampChain) holds the whole view's bytes but ranges only for
-// the nodes the view created. A serialization larger than 4 GiB, which
-// uint32 ranges cannot address, publishes an image covering nothing.
-func (ix *Index) Image() (img *Image, built bool) {
-	if ix.chain == nil || ix.Root == nil {
-		return nil, false
-	}
-	if img := ix.chain.img.Load(); img != nil {
-		return img, false
-	}
-	ix.BuildMasks()
-	img = buildImage(ix)
-	if ix.chain.img.CompareAndSwap(nil, img) {
-		return img, true
-	}
-	return ix.chain.img.Load(), false
-}
-
-// ReadImage notes a read of ix's version chain and returns the chain's
-// image, building it on the chain's second noted read of any kind (this
-// or ReadMasks): the first read of a chain gets nil and walks. Building
-// costs about one walk more than answering a read without an image, so
-// only a chain read again earns its image. built reports whether this
-// call published the image; the result is nil for an index outside any
-// chain.
-func (ix *Index) ReadImage() (img *Image, built bool) {
-	if img := ix.LoadImage(); img != nil || ix.chain == nil || !ix.chain.read.Swap(true) {
-		return img, false
-	}
-	return ix.Image()
-}
-
-// LoadImage returns the image of ix's chain if one has been built, and
-// nil otherwise. It never builds one.
-func (ix *Index) LoadImage() *Image {
-	if ix.chain == nil {
-		return nil
-	}
-	return ix.chain.img.Load()
 }
 
 // buildImage serializes ix.Root twice: once to measure it, once into an

@@ -12,18 +12,28 @@ import (
 // no chain covers, is the plain walk every image must reproduce.
 func walked(n *Node) string { return n.DeepCopy().String() }
 
+// imageOf reads ix's chain twice, which builds its image, and returns it.
+func imageOf(ix *Index) *Image {
+	ix.Read(NeedImage)
+	return ix.Read(NeedImage)
+}
+
 // TestImageCoversEveryInteriorNode: the image is the version's
 // serialization, and the range of every node with children is that
 // node's own serialization; leaves are not covered.
 func TestImageCoversEveryInteriorNode(t *testing.T) {
 	doc := Generate(rand.New(rand.NewSource(3)), DefaultGenOptions())
 	root, ix, _ := Freeze(doc, nil)
-	img, built := ix.Image()
-	if !built || img == nil {
-		t.Fatal("first Image call did not build")
+	builds := mBuilds[DerivedImage].Value()
+	if ix.Read(NeedImage) != nil {
+		t.Fatal("the chain's first read built its image")
 	}
-	if again, built := ix.Image(); again != img || built {
-		t.Fatal("second Image call did not return the published image")
+	img := ix.Read(NeedImage)
+	if img == nil || mBuilds[DerivedImage].Value() != builds+1 {
+		t.Fatal("the chain's second read did not build")
+	}
+	if again := ix.Read(NeedImage); again != img || mBuilds[DerivedImage].Value() != builds+1 {
+		t.Fatal("the third read did not return the published image")
 	}
 	if ix.LoadImage() != img {
 		t.Fatal("LoadImage does not see the published image")
@@ -86,7 +96,7 @@ func TestImageServesLaterVersions(t *testing.T) {
 			versions = append(versions, ix)
 		}
 	}
-	img, _ := versions[2].Image()
+	img := imageOf(versions[2])
 	for len(versions) < 40 {
 		if out, hit := randomEdit(t, rng, root); hit {
 			root, ix, _ = PathCopy(out, ix)
@@ -108,8 +118,9 @@ func TestImageServesLaterVersions(t *testing.T) {
 // strictly below it (bit SymID % 64; 0 for a leaf), and every bit for
 // anything else: nodes created after the masks, nodes of earlier
 // versions the third replaced (holes in the masks), nodes outside the
-// chain, and every node before the chain has masks. ReadMasks builds the
-// same masks on a chain's second read, without an image.
+// chain, and every node before the chain has masks. A read that needs
+// only masks builds the same masks on a chain's second read, without an
+// image.
 func TestBelowMasks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	root, ix, _ := Freeze(Generate(rng, DefaultGenOptions()), nil)
@@ -123,7 +134,7 @@ func TestBelowMasks(t *testing.T) {
 			t.Fatal("a chain without masks masks its root")
 		}
 		if len(versions) == 3 && versions[2].LoadImage() == nil {
-			versions[2].Image()
+			imageOf(versions[2])
 		}
 	}
 	covered := map[*Node]bool{}
@@ -174,23 +185,28 @@ func TestBelowMasks(t *testing.T) {
 		t.Fatal("an unstamped node is masked")
 	}
 	other, oix, _ := Freeze(root.DeepCopy(), nil)
-	if oix.ReadMasks() || oix.Below(other) != ^uint64(0) || !oix.ReadMasks() || oix.LoadImage() != nil {
-		t.Fatal("ReadMasks must build the masks, and no image, on the chain's second read")
+	masks := mBuilds[DerivedMasks].Value()
+	oix.Read(NeedMasks)
+	if mBuilds[DerivedMasks].Value() != masks || oix.Below(other) != ^uint64(0) {
+		t.Fatal("the chain's first read built its masks")
 	}
-	if oix.ReadMasks() || oix.BuildMasks() {
+	if oix.Read(NeedMasks); mBuilds[DerivedMasks].Value() != masks+1 || oix.LoadImage() != nil {
+		t.Fatal("a read that needs masks must build them, and no image, on the chain's second read")
+	}
+	if oix.Read(NeedMasks); mBuilds[DerivedMasks].Value() != masks+1 {
 		t.Fatal("a chain's masks were built twice")
 	}
 	if versions[5].Below(other.Children[0]) != ^uint64(0) || oix.Below(versions[5].Root.Children[0]) != ^uint64(0) {
 		t.Fatal("a node of another chain is masked")
 	}
 	if got, want := oix.Below(other.Children[0]), below(other.Children[0]); got != want {
-		t.Fatalf("ReadMasks: root element masked %x, want %x", got, want)
+		t.Fatalf("masks read: root element masked %x, want %x", got, want)
 	}
 }
 
 // TestConcurrentImageBuild: goroutines racing to build the first image
-// of one chain all get the same published image, exactly one of them
-// reports the build, and every emission through it is identical.
+// of one chain all get the same published image, exactly one build is
+// counted, and every emission through it is identical.
 func TestConcurrentImageBuild(t *testing.T) {
 	// Large enough that the builds overlap.
 	db := NewElement("db")
@@ -201,28 +217,24 @@ func TestConcurrentImageBuild(t *testing.T) {
 	want := root.String()
 	const workers = 8
 	var (
-		wg    sync.WaitGroup
-		imgs  [workers]*Image
-		built [workers]bool
-		outs  [workers]string
+		wg   sync.WaitGroup
+		imgs [workers]*Image
+		outs [workers]string
 	)
+	builds := mBuilds[DerivedImage].Value()
 	start := make(chan struct{})
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			imgs[i], built[i] = ix.Image()
+			imgs[i] = imageOf(ix)
 			outs[i] = root.String()
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	builds := 0
 	for i := 0; i < workers; i++ {
-		if built[i] {
-			builds++
-		}
 		if imgs[i] != imgs[0] || imgs[i] != ix.LoadImage() {
 			t.Fatalf("worker %d got an image other than the published one", i)
 		}
@@ -230,8 +242,8 @@ func TestConcurrentImageBuild(t *testing.T) {
 			t.Fatalf("worker %d emitted different bytes", i)
 		}
 	}
-	if builds != 1 {
-		t.Fatalf("%d workers report publishing the image, want exactly 1", builds)
+	if n := mBuilds[DerivedImage].Value() - builds; n != 1 {
+		t.Fatalf("%d image builds counted, want exactly 1", n)
 	}
 }
 
@@ -251,7 +263,7 @@ func TestConcurrentViewEmitDuringImageBuild(t *testing.T) {
 	}
 	a, aix := chain("a")
 	b, bix := chain("b")
-	if _, built := bix.Image(); !built {
+	if imageOf(bix) == nil {
 		t.Fatal("the second chain's image was not built")
 	}
 	view := NewElement("view")
@@ -271,7 +283,7 @@ func TestConcurrentViewEmitDuringImageBuild(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-start
-		aix.Image()
+		imageOf(aix)
 	}()
 	for i := 0; i < workers; i++ {
 		go func(i int) {
@@ -303,7 +315,7 @@ func TestConcurrentViewEmitDuringImageBuild(t *testing.T) {
 // gets no image.
 func TestImageOnlyOnChainRoots(t *testing.T) {
 	ix := EnsureIndex(buildTestDoc())
-	if img, built := ix.Image(); img != nil || built || ix.LoadImage() != nil {
+	if imageOf(ix) != nil || ix.LoadImage() != nil {
 		t.Fatal("a plain index built an image")
 	}
 }

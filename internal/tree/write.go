@@ -26,7 +26,7 @@ var emitBufs = sync.Pool{New: func() any { return new([emitBufSize]byte) }}
 // appends to its buffer and shares its two escape tables. The buffer is
 // pooled: taken on the first write, returned by Flush (or left to the GC).
 // The first write error is sticky: output is dropped, walks stop at it.
-// Node copies every subtree a chain image covers (see Image).
+// Node copies every subtree a chain image covers (see chainID).
 //
 // An Emitter may carry a Recorder (Record), which it hands every byte
 // it writes: each range Node copies from an image as that range, each
@@ -195,7 +195,7 @@ func (e *Emitter) EndTag(name string) {
 
 // Node appends the subtree rooted at n, stopping once a write has failed.
 // A node with children that its chain's image covers goes out as the
-// image's bytes (see Image), handed to a recorder as the image's range.
+// image's bytes (see chainID), handed to a recorder as the image's range.
 func (e *Emitter) Node(n *Node) {
 	if len(n.Children) > 0 {
 		if img, s := imaged(n); s.end != 0 {

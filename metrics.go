@@ -3,7 +3,6 @@ package xtq
 import (
 	"xtq/internal/core"
 	"xtq/internal/obs"
-	"xtq/internal/tree"
 )
 
 // Engine instruments on the process-wide obs registry. Cache counters
@@ -33,9 +32,3 @@ var mQueryAnswers = func() map[core.Answer]*obs.Counter {
 	}
 	return m
 }()
-
-func init() {
-	obs.Default.GaugeFunc("xtq_query_answer_bytes",
-		"Bytes charged to the recorded transform answers of every live version chain.",
-		func() float64 { return float64(tree.LiveAnswerBytes()) })
-}

@@ -73,8 +73,9 @@ func (p *Prepared) EvalWith(ctx context.Context, src Source, m Method) (*Node, e
 // serializes to. Under MethodTopDown (and MethodAuto) the walk writes its
 // answer as it decides it and builds no result tree (core.EmitTopDown):
 // unchanged subtrees go out as copies from their chain's image. Over a
-// store snapshot the answer is also recorded, on the second run of this
-// Prepared over the version once its chain has an image, and every later
+// store snapshot the run reads the snapshot's chain, whose second read
+// builds its image, and the answer is recorded on the second run of this
+// Prepared over the version once the chain has its image; every later
 // run replays the recording instead of walking; the context's trace says
 // which ("walk", "record" or "replay") before the first byte is written,
 // and a replay visits no node. Any other method runs Eval and serializes

@@ -9,6 +9,7 @@ import (
 	"xtq/internal/core"
 	"xtq/internal/ivm"
 	"xtq/internal/store"
+	"xtq/internal/tree"
 	"xtq/internal/wal"
 )
 
@@ -299,6 +300,23 @@ func (s *Store) Names() []string {
 	names := s.st.Names()
 	sort.Strings(names)
 	return names
+}
+
+// DerivedBytes returns the bytes of derived state — chain images, label
+// masks and recorded transform answers — that the store's version chains
+// and its maintained views' chains hold now, by kind ("image", "masks",
+// "answers"). Each chain holds at most about twice its serialization
+// plus 8 B per node; a chain the store no longer holds (a removed
+// document, a version out of the history ring) is not counted.
+func (s *Store) DerivedBytes() map[string]int64 {
+	var a tree.Account
+	s.st.Account(&a)
+	s.mgr.Account(&a)
+	out := make(map[string]int64, len(a.Bytes))
+	for k, n := range a.Bytes {
+		out[tree.DerivedKinds[k]] = n
+	}
+	return out
 }
 
 // Len returns the number of stored documents.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"xtq/internal/tree"
 )
 
 const viewDB = `<db>
@@ -204,7 +206,7 @@ func TestConcurrentComposedUserQueries(t *testing.T) {
 
 // TestConcurrentComposedReadsDuringMaskBuild: four goroutines answer
 // the security view's user queries over one store snapshot, each read
-// noting itself first as xtqd's handler does (Snapshot.ReadMasks), so
+// noting itself first as xtqd's handler does (a tree.NeedMasks read), so
 // the chain's second read builds and publishes its label masks while
 // other reads walk; a fifth goroutine builds the chain's image, which
 // publishes the masks too when it gets there first. Every answer equals
@@ -230,7 +232,7 @@ func TestConcurrentComposedReadsDuringMaskBuild(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		snap.Index().Image()
+		imageOf(snap.Index())
 	}()
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -238,7 +240,7 @@ func TestConcurrentComposedReadsDuringMaskBuild(t *testing.T) {
 			defer wg.Done()
 			for k := range pvs {
 				i := (k + g*len(pvs)/goroutines) % len(pvs)
-				snap.ReadMasks()
+				snap.Index().Read(tree.NeedMasks)
 				got, _, err := pvs[i].Eval(ctx, snap)
 				if err != nil {
 					errs <- err
@@ -256,7 +258,7 @@ func TestConcurrentComposedReadsDuringMaskBuild(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if snap.Index().BuildMasks() {
+	if !snap.Index().HasMasks() {
 		t.Fatal("the chain had no masks after its reads and its image build")
 	}
 }
